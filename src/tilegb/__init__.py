@@ -3,7 +3,8 @@
 from .polyring import (LEX, Polynomial, TermOrder, coeff_divmod, diff_quotient,
                        format_poly, lex_compare, parse_poly)
 from .groebner import (GroebnerBasis, ReductionResult, buchberger, g_polynomial,
-                       ideal_member, reduce, s_polynomial, verify_strong_gb)
+                       ideal_member, reduce, remainder, s_polynomial,
+                       verify_strong_gb)
 from .bones import (BoneSystem, b3_remainder, bone_polynomials, bone_system,
                     decide_nbone, basis_cofactors, nbone_prototiles,
                     t_remainder_closed, triangle)
@@ -19,7 +20,7 @@ __all__ = [
     "LEX", "Polynomial", "TermOrder", "coeff_divmod", "diff_quotient",
     "format_poly", "lex_compare", "parse_poly",
     "GroebnerBasis", "ReductionResult", "buchberger", "g_polynomial",
-    "ideal_member", "reduce", "s_polynomial", "verify_strong_gb",
+    "ideal_member", "reduce", "remainder", "s_polynomial", "verify_strong_gb",
     "BoneSystem", "b3_remainder", "bone_polynomials", "bone_system",
     "decide_nbone", "basis_cofactors", "nbone_prototiles", "t_remainder_closed",
     "triangle",

@@ -147,11 +147,13 @@ def _cmd_reduce(args, out: list[str]) -> int:
         poly = parse_poly(text)
     except PolyParseError as exc:
         raise UsageError(f"bad polynomial: {exc}") from None
+    if not args.show_quotients:
+        out.append(format_poly(groebner.remainder(poly, basis, args.conv)))
+        return 0
     res = groebner.reduce(poly, basis, args.conv)
     out.append(format_poly(res.remainder))
-    if args.show_quotients:
-        for i, q in enumerate(res.quotients):
-            out.append(f"q[{i}] = {format_poly(q)}")
+    for i, q in enumerate(res.quotients):
+        out.append(f"q[{i}] = {format_poly(q)}")
     return 0
 
 

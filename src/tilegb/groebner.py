@@ -9,8 +9,10 @@ some basis element; membership then reduces to a zero remainder.
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .polyring import (CONVENTIONS, LEX, Mono, Polynomial, TermOrder,
                        coeff_divmod, format_poly, mono_div, mono_divides,
@@ -71,6 +73,25 @@ class GroebnerBasis:
     def leading_terms(self) -> list[tuple[Mono, int]]:
         return list(self._lts)
 
+    @cached_property
+    def periods(self) -> tuple[int | None, ...]:
+        """For each variable, the smallest a in 1..2*maxdeg+2 with x_var^a - 1
+        reducing to zero (so x_var^a is 1 modulo the ideal), or None."""
+        bound = 2 * max(g.degree() for g in self.elements) + 2
+        one = (0,) * self.nvars
+        found: list[int | None] = []
+        for var in range(self.nvars):
+            for a in range(1, bound + 1):
+                power = tuple(a if i == var else 0 for i in range(self.nvars))
+                _, rem = _reduce_raw({power: 1, one: -1}, self.nvars, self.elements,
+                                     self._lts, self.order, self.convention)
+                if not rem:
+                    found.append(a)
+                    break
+            else:
+                found.append(None)
+        return tuple(found)
+
     def reordered(self, perm: list[int]) -> GroebnerBasis:
         """Same basis with elements permuted (used to probe confluence)."""
         return GroebnerBasis([self.elements[i] for i in perm], self.order,
@@ -86,6 +107,32 @@ class ReductionResult:
     remainder: Polynomial
 
 
+def _slot_width(fterms: dict[Mono, int], elements: list[Polynomial],
+                prec: tuple[int, ...]) -> int:
+    """Bits per exponent slot that no monomial met while dividing can exceed.
+
+    A division step multiplies a term by t / LM(g) for a tail term t of g.
+    The first position (in precedence order) where t and LM(g) differ drops
+    by at least one, earlier positions are unchanged, and each later position
+    grows by at most D, the largest exponent in the basis.  Along any chain
+    of steps from an input term, position k therefore never exceeds
+    E_k = e_k + D * (E_0 + ... + E_(k-1)), where e_k is the largest input
+    exponent there and the sum bounds the steps that drop an earlier
+    position.  All slots get the width of E_0 + ... + E_last, which covers
+    every E_k.  Negative exponents fit no slot and are refused.
+    """
+    basis_cols = list(zip(*[m for g in elements for m in g.terms]))
+    input_cols = list(zip(*fterms))
+    if min(map(min, basis_cols + input_cols), default=0) < 0:
+        raise ValueError("negative exponent; division needs exponents >= 0")
+    top = max(map(max, basis_cols), default=0)
+    highs = list(map(max, input_cols)) or [0] * len(prec)
+    total = 0
+    for v in prec:
+        total += highs[v] + top * total
+    return max(top, total).bit_length() or 1
+
+
 def _reduce_raw(fterms: dict[Mono, int], nvars: int, elements: list[Polynomial],
                 lts: list[tuple[Mono, int]], order: TermOrder,
                 conv: str) -> tuple[list[dict[Mono, int]], dict[Mono, int]]:
@@ -94,37 +141,58 @@ def _reduce_raw(fterms: dict[Mono, int], nvars: int, elements: list[Polynomial],
     Deterministic rules: always attack the current leading term; use the first
     basis element (in list order) whose leading term gives a nonzero division
     quotient; once no element applies, the term moves to the remainder.
+
+    Monomials are packed into one int each, variables in precedence order,
+    with slots wide enough (_slot_width) that no exponent carries into the
+    next slot: lex comparison is integer comparison and shifting by a
+    monomial is integer addition.  Each slot has one guard bit above its
+    exponent bits, so v | u exactly when u - v is non-negative with no guard
+    bit set.
     """
-    key = order.key
-    work = dict(fterms)
-    heap = [tuple(-e for e in key(m)) + m for m in work]
+    prec = order.precedence
+    if sorted(prec) != list(range(nvars)):
+        raise ValueError(f"precedence {prec} is not an order of all {nvars} variables")
+    bits = _slot_width(fterms, elements, prec)
+    width = bits + 1
+    shifts = [0] * nvars
+    for k, v in enumerate(prec):
+        shifts[v] = width * (nvars - 1 - k)
+    guard = sum(1 << (s + bits) for s in shifts)
+    slot = (1 << bits) - 1
+    lshift = operator.lshift
+
+    def unpack(terms: dict[int, int]) -> dict[Mono, int]:
+        return {tuple((p >> s) & slot for s in shifts): c for p, c in terms.items()}
+
+    work = {sum(map(lshift, m, shifts)): c for m, c in fterms.items()}
+    heap = [-p for p in work]
     heapq.heapify(heap)
-    quotients: list[dict[Mono, int]] = [{} for _ in elements]
-    remainder: dict[Mono, int] = {}
-    tails = [[(m, c) for m, c in g.terms.items() if m != lts[i][0]]
-             for i, g in enumerate(elements)]
+    quotients: list[dict[int, int]] = [{} for _ in elements]
+    remainder: dict[int, int] = {}
+    plts = [(sum(map(lshift, gm, shifts)), gc) for gm, gc in lts]
+    tails = [[(sum(map(lshift, m, shifts)), c) for m, c in g.terms.items() if m != gm]
+             for g, (gm, _) in zip(elements, lts)]
     while heap:
-        packed = heapq.heappop(heap)
-        mono = packed[len(packed) // 2:]
-        c = work.get(mono)
+        mono = -heapq.heappop(heap)
+        c = work.pop(mono, 0)
         if not c:
             continue
         progressed = True
         while c and progressed:
             progressed = False
-            for gi, (gm, gc) in enumerate(lts):
-                if not all(a <= b for a, b in zip(gm, mono)):
+            for gi, (gm, gc) in enumerate(plts):
+                shift = mono - gm
+                if shift < 0 or shift & guard:
                     continue
                 q, r = coeff_divmod(c, gc, conv)
                 if q == 0:
                     continue
-                shift = tuple(a - b for a, b in zip(mono, gm))
                 for tm, tc in tails[gi]:
-                    m2 = tuple(a + b for a, b in zip(tm, shift))
+                    m2 = tm + shift
                     v = work.get(m2, 0) - q * tc
                     if v:
                         if m2 not in work:
-                            heapq.heappush(heap, tuple(-e for e in key(m2)) + m2)
+                            heapq.heappush(heap, -m2)
                         work[m2] = v
                     else:
                         work.pop(m2, None)
@@ -135,24 +203,47 @@ def _reduce_raw(fterms: dict[Mono, int], nvars: int, elements: list[Polynomial],
                 break
         if c:
             remainder[mono] = c
-        work.pop(mono, None)
-    return quotients, remainder
+    return [unpack(q) if q else {} for q in quotients], unpack(remainder)
 
 
-def reduce(f: Polynomial, G: GroebnerBasis, convention: str | None = None) -> ReductionResult:
-    """Divide f by the basis, returning quotients (one per element) and the
-    remainder.  The convention defaults to the basis's own."""
+def _checked_convention(f: Polynomial, G: GroebnerBasis, convention: str | None) -> str:
     if f.nvars != G.nvars:
         raise ValueError(f"arity mismatch: {f.nvars} vs {G.nvars}")
     conv = convention if convention is not None else G.convention
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown coefficient convention {conv!r}")
+    return conv
+
+
+def reduce(f: Polynomial, G: GroebnerBasis, convention: str | None = None) -> ReductionResult:
+    """Divide f by the basis, returning quotients (one per element) and the
+    remainder.  The convention defaults to the basis's own."""
+    conv = _checked_convention(f, G, convention)
     quotients, remainder = _reduce_raw(f.terms, f.nvars, G.elements, G._lts, G.order, conv)
     return ReductionResult([Polynomial._make(q, f.nvars) for q in quotients],
                            Polynomial._make(remainder, f.nvars))
 
 
 def remainder(f: Polynomial, G: GroebnerBasis, convention: str | None = None) -> Polynomial:
+    """reduce(f, G, convention).remainder, without the quotients.
+
+    On a verified basis the remainder is the unique normal form of f, and
+    x_i^a - 1 lies in the ideal for each variable period a, so every exponent
+    is first folded modulo its variable's period: the division then sees at
+    most one term per residue class instead of the whole input.  Unverified
+    bases are divided as given.
+    """
+    _checked_convention(f, G, convention)
+    periods = G.periods if G.verified else ()
+    if any(periods):
+        if min(map(min, f.terms), default=0) < 0:
+            raise ValueError("negative exponent; division needs exponents >= 0")
+        mods = [a or f.max_exponent(v) + 1 for v, a in enumerate(periods)]
+        folded: dict[Mono, int] = {}
+        for m, c in f.terms.items():
+            m = tuple(map(operator.mod, m, mods))
+            folded[m] = folded.get(m, 0) + c
+        f = Polynomial._make({m: c for m, c in folded.items() if c}, f.nvars)
     return reduce(f, G, convention).remainder
 
 
@@ -383,6 +474,10 @@ def basis_from_text(text: str) -> GroebnerBasis:
         raise ValueError("empty basis file")
     header = lines[0].split()
     fields = dict(part.split("=", 1) for part in header if "=" in part)
+    if fields.get("order", "lex") != "lex":
+        raise ValueError(f"unsupported term order {fields['order']!r}; expected lex")
+    if fields.get("vars", "x,y") != "x,y":
+        raise ValueError(f"unsupported variables {fields['vars']!r}; expected x,y")
     conv = fields.get("conv", "minabs")
     if conv not in ("minabs", "nonneg"):
         raise ValueError(f"unknown convention {conv!r}")

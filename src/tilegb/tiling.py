@@ -84,6 +84,8 @@ def verify_certificate(cert: Certificate) -> bool:
     """Cell-by-cell integer accumulation; no polynomial machinery involved."""
     acc: dict[Cell, int] = {}
     for pl in cert.placements:
+        if not 0 <= pl.tile < len(cert.prototiles):
+            return False
         tile = cert.prototiles[pl.tile]
         a, b = pl.shift
         for i, j in tile:
@@ -148,20 +150,8 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
 
     # A variable is tame when multiplication by it is invertible modulo the
     # ideal, so test monomials cannot change membership.
-    bound = 2 * max(g.degree() for g in G.elements) + 2
-    tame = []
-    for var in range(2):
-        if all(g.max_exponent(var) == 0 for g in gens):
-            tame.append(True)
-            continue
-        unit = Polynomial.constant(1)
-        found = False
-        for a in range(1, bound + 1):
-            power = Polynomial({(a, 0) if var == 0 else (0, a): 1})
-            if groebner.reduce(power - unit, G).remainder.is_zero():
-                found = True
-                break
-        tame.append(found)
+    tame = [G.periods[var] is not None or all(g.max_exponent(var) == 0 for g in gens)
+            for var in range(2)]
     decisive = all(tame)
 
     rounds = 0 if decisive else max_rounds
@@ -274,9 +264,12 @@ def parse_certificate_text(text: str) -> tuple[int, str, list[Placement]]:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 4 or parts[0] not in "+-":
+        if len(parts) != 4 or parts[0] not in ("+", "-"):
             raise ValueError(f"line {lineno}: expected '<+|-> tile a b', got {raw!r}")
-        placements.append(Placement(int(parts[1]), (int(parts[2]), int(parts[3])),
+        tile = int(parts[1])
+        if not 0 <= tile < count:
+            raise ValueError(f"line {lineno}: tile index {tile} outside 0..{count - 1}")
+        placements.append(Placement(tile, (int(parts[2]), int(parts[3])),
                                     1 if parts[0] == "+" else -1))
     return count, fields["region"], placements
 

@@ -155,6 +155,24 @@ def test_certificate_verify_render_round_trip(tmp_path):
     assert run(["verify", "--certificate", cert_path, "--n", "3"]) == (1, "INVALID\n")
 
 
+@pytest.mark.parametrize("line", ["+ -3 0 0", "+ 5 0 0", "+- 0 0 0"])
+def test_verify_malformed_placement_is_input_error(tmp_path, capsys, line):
+    cert_path = str(tmp_path / "c.cert")
+    assert run(["certificate", "--n", "3", "--m", "8", "--out", cert_path])[0] == 0
+    with open(cert_path, "a") as fh:
+        fh.write(line + "\n")
+    capsys.readouterr()
+    assert run(["verify", "--certificate", cert_path, "--n", "3"]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_reduce_refuses_mislabelled_basis_file(tmp_path):
+    bpath = tmp_path / "basis.txt"
+    assert run(["gb", "--n", "3", "--out", str(bpath)])[0] == 0
+    bpath.write_text(bpath.read_text().replace("vars=x,y", "vars=y,x"))
+    assert run(["reduce", "--basis", str(bpath), "--poly", "1 + x"]) == (2, "")
+
+
 def test_certificate_inadmissible(tmp_path):
     code, out = run(["certificate", "--n", "3", "--m", "10"])
     assert (code, out) == (1, "")

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from helpers import random_poly, random_univariate
-from tilegb.bones import bone_polynomials, bone_system, triangle
+from tilegb import groebner
+from tilegb.bones import b3_poly, bone_polynomials, bone_system, triangle
 from tilegb.groebner import (GroebnerBasis, basis_from_text, basis_to_text,
                              buchberger, g_polynomial, ideal_member, reduce,
-                             s_polynomial, verify_strong_gb, xgcd)
+                             remainder, s_polynomial, verify_strong_gb, xgcd)
 from tilegb.polyring import (LEX, Polynomial, diff_quotient, format_poly,
                              parse_poly)
 
@@ -89,6 +90,84 @@ def test_confluence_under_randomized_selection():
                 perm = list(range(len(basis.elements)))
                 rng.shuffle(perm)
                 assert reduce(f, basis.reordered(perm)).remainder == baseline
+
+
+def test_packed_exponents_grow_past_the_input_without_carrying():
+    # x - y^7 trades each x for seven y's: the y exponent reaches 700 from
+    # an input whose largest exponent is 100.
+    basis = GroebnerBasis([parse_poly("x - y^7")])
+    res = reduce(parse_poly("x^100 + 3*x*y^2"), basis)
+    assert res.remainder == parse_poly("y^700 + 3*y^9")
+    assert expand(res.quotients, basis.elements, res.remainder) == \
+        parse_poly("x^100 + 3*x*y^2")
+    huge = 2 ** 80
+    res = reduce(Polynomial({(huge, 3): 1}), GroebnerBasis([parse_poly("y - 1")]))
+    assert res.remainder == Polynomial({(huge, 0): 1})
+
+
+def test_negative_exponent_is_refused_not_misordered():
+    basis = bone_system(3).basis
+    bad = parse_poly("1 + y").mul_term(1, (-1, 0))
+    assert min(e for m in bad.terms for e in m) < 0
+    with pytest.raises(ValueError):
+        reduce(bad, basis)
+    with pytest.raises(ValueError):
+        remainder(bad, basis)
+
+
+# ---------------------------------------------------------------------------
+# variable periods and the folding remainder
+
+def test_periods_of_bone_bases():
+    assert bone_system(2).basis.periods == (1, 1)
+    for n in range(3, 9):
+        assert bone_system(n).basis.periods == (n, n)
+
+
+def test_periods_of_completed_basis_match_explicit():
+    completed = buchberger(list(bone_polynomials(3)), conv="nonneg")
+    assert completed.periods == bone_system(3).basis.periods == (3, 3)
+
+
+def test_periods_absent_when_no_pure_power_is_one():
+    assert GroebnerBasis([parse_poly("x - y")]).periods == (None, None)
+    assert GroebnerBasis([parse_poly("x + 1")]).periods == (2, None)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_remainder_matches_reduce(n):
+    # Seeded differential check of the folding route against plain division.
+    rng = random.Random(1000 + n)
+    basis = bone_system(n).basis
+    top = 3 * n * n
+    sides = sorted({0, top - 1, top, *rng.sample(range(top + 1), 5)})
+    for conv in ("minabs", "nonneg"):
+        for _ in range(40):
+            f = Polynomial({(rng.randint(0, 5 * n), rng.randint(0, 5 * n)):
+                            rng.randint(-60, 60) for _ in range(rng.randint(0, 10))})
+            assert remainder(f, basis, conv) == reduce(f, basis, conv).remainder
+        for m in sides:
+            for f in (triangle(m), b3_poly(m)):
+                assert remainder(f, basis, conv) == reduce(f, basis, conv).remainder, (conv, m)
+
+
+def test_remainder_does_not_fold_unverified_basis(monkeypatch):
+    seen = []
+    real_reduce = groebner.reduce
+
+    def spy(f, G, convention=None):
+        seen.append(f)
+        return real_reduce(f, G, convention)
+
+    monkeypatch.setattr(groebner, "reduce", spy)
+    loaded = basis_from_text(basis_to_text(bone_system(3).basis))
+    t9 = triangle(9)
+    assert remainder(t9, loaded) == real_reduce(t9, loaded).remainder
+    assert seen == [t9]
+    assert "periods" not in vars(loaded)
+    # The verified basis with the same elements folds T(9) to at most 3 x 3 terms.
+    remainder(t9, bone_system(3).basis)
+    assert len(seen[-1]) <= 9 < len(t9)
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +382,11 @@ def test_basis_serialization_round_trip():
     assert not loaded.verified
     with pytest.raises(ValueError):
         basis_from_text("")
+
+
+@pytest.mark.parametrize("header", ["order=grevlex vars=x,y conv=nonneg",
+                                    "order=lex vars=y,x conv=nonneg",
+                                    "order=lex vars=x conv=nonneg"])
+def test_basis_header_other_than_lex_xy_is_refused(header):
+    with pytest.raises(ValueError):
+        basis_from_text(header + "\n1 + x\n")

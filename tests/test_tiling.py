@@ -193,6 +193,26 @@ def test_certificate_file_round_trip():
         parse_certificate_text("tiles=3 region=r\n? 0 1 2\n")
 
 
+@pytest.mark.parametrize("line", ["+ -3 0 0", "+ 3 0 0", "- 5 0 0"])
+def test_certificate_tile_index_outside_range_is_refused(line):
+    with pytest.raises(ValueError):
+        parse_certificate_text(f"tiles=3 region=r\n{line}\n")
+
+
+def test_certificate_sign_token_must_be_exact():
+    with pytest.raises(ValueError):
+        parse_certificate_text("tiles=3 region=r\n+- 0 0 0\n")
+
+
+def test_verify_rejects_tile_index_outside_range():
+    # A negative index must not wrap around to the last prototile.
+    bones = nbone_prototiles(2)
+    wrapped = Certificate(bones, [Placement(-3, (0, 0), 1)], bones[0])
+    assert not verify_certificate(wrapped)
+    past_end = Certificate(bones, [Placement(3, (0, 0), 1)], frozenset())
+    assert not verify_certificate(past_end)
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
