@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain-level no/fail, 2 usage error, 3 inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -13,7 +14,10 @@ from . import bones, brion, groebner, homology, oracle, tiling
 from .polyring import PolyParseError, format_poly, parse_poly
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parse_args leaves the parser unchanged, so
+    every call still starts from the declared defaults."""
     parser = argparse.ArgumentParser(
         prog="tilegb",
         description="Signed polyomino tilings via strong Groebner bases over Z.")
@@ -198,7 +202,7 @@ def _cmd_certificate(args, out: list[str]) -> int:
     if args.svg:
         with open(args.svg, "wb") as fh:
             fh.write(tiling.render(cert, "svg"))
-    out.append(f"placements={len(cert.placements)}")
+    out.append(f"placements={sum(pl.count for pl in cert.placements)}")
     return 0
 
 
@@ -213,6 +217,7 @@ def _cmd_verify(args, out: list[str]) -> int:
 
 def _cmd_homology(args, out: list[str]) -> int:
     prototiles = _load_tiles(args)
+    stabilized = True
     if args.box is not None:
         group = homology.box_group(prototiles, args.box)
     else:
@@ -223,7 +228,7 @@ def _cmd_homology(args, out: list[str]) -> int:
             print(f"warning: box groups did not stabilize on sides "
                   f"{start}..{start + 2}", file=sys.stderr)
     out.append(str(group))
-    return 0
+    return 0 if stabilized else 3
 
 
 def _cmd_oracle(args, out: list[str]) -> int:

@@ -472,8 +472,11 @@ def basis_from_text(text: str) -> GroebnerBasis:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty basis file")
-    header = lines[0].split()
-    fields = dict(part.split("=", 1) for part in header if "=" in part)
+    # Line 1 is the header only when it carries a key=value field; otherwise
+    # the file is all polynomials.
+    fields = dict(part.split("=", 1) for part in lines[0].split() if "=" in part)
+    if fields:
+        lines = lines[1:]
     if fields.get("order", "lex") != "lex":
         raise ValueError(f"unsupported term order {fields['order']!r}; expected lex")
     if fields.get("vars", "x,y") != "x,y":
@@ -481,5 +484,5 @@ def basis_from_text(text: str) -> GroebnerBasis:
     conv = fields.get("conv", "minabs")
     if conv not in ("minabs", "nonneg"):
         raise ValueError(f"unknown convention {conv!r}")
-    elements = [parse_poly(ln) for ln in lines[1:]]
+    elements = [parse_poly(ln) for ln in lines]
     return GroebnerBasis(elements, LEX, conv)

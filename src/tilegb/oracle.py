@@ -30,7 +30,8 @@ class PlacementSystem:
 @dataclass
 class OracleDecision:
     """Outcome of the box search; a yes carries the solution vector and its
-    expanded, independently verified certificate."""
+    independently verified certificate, one weighted placement per nonzero
+    entry."""
 
     solvable: bool
     solution: list[int] | None = None
@@ -118,7 +119,7 @@ def placement_system(region: Region, prototiles: list[Region], margin: int) -> P
 def oracle_decide(region: Region, prototiles: list[Region], margin: int) -> OracleDecision:
     """Search for a signed tiling confined to the padded bounding box.
 
-    A yes is sound (the expanded certificate is verified cell by cell); a
+    A yes is sound (the certificate is verified cell by cell); a
     ``no_solution_in_box`` is inconclusive evidence, since placements outside
     the box might still make a tiling possible.
     """
@@ -126,12 +127,8 @@ def oracle_decide(region: Region, prototiles: list[Region], margin: int) -> Orac
     z = hnf_solve(system.matrix, system.target)
     if z is None:
         return OracleDecision(False)
-    placements = []
-    for mult, pl in zip(z, system.placements):
-        if mult:
-            sign = 1 if mult > 0 else -1
-            placements.extend(Placement(pl.tile, pl.shift, sign)
-                              for _ in range(abs(mult)))
+    placements = [Placement(pl.tile, pl.shift, 1 if mult > 0 else -1, abs(mult))
+                  for mult, pl in zip(z, system.placements) if mult]
     cert = Certificate(list(prototiles), placements, region)
     if not verify_certificate(cert):
         raise RuntimeError("internal error: oracle solution failed verification")

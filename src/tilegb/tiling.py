@@ -21,11 +21,13 @@ Region = frozenset  # of Cell
 
 @dataclass(frozen=True)
 class Placement:
-    """One signed translate: prototile ``tile`` shifted by ``shift``."""
+    """``count`` signed translates of prototile ``tile`` shifted by ``shift``;
+    ``sign`` is +1 or -1 and ``count`` is at least 1."""
 
     tile: int
     shift: Cell
     sign: int
+    count: int = 1
 
 
 @dataclass
@@ -81,16 +83,18 @@ def region_of_polynomial(p: Polynomial) -> Region:
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    """Cell-by-cell integer accumulation; no polynomial machinery involved."""
+    """Cell-by-cell integer accumulation of ``sign * count`` per placement; no
+    polynomial machinery involved."""
     acc: dict[Cell, int] = {}
     for pl in cert.placements:
-        if not 0 <= pl.tile < len(cert.prototiles):
+        if not 0 <= pl.tile < len(cert.prototiles) or pl.sign not in (1, -1) or pl.count < 1:
             return False
+        weight = pl.sign * pl.count
         tile = cert.prototiles[pl.tile]
         a, b = pl.shift
         for i, j in tile:
             cell = (i + a, j + b)
-            v = acc.get(cell, 0) + pl.sign
+            v = acc.get(cell, 0) + weight
             if v:
                 acc[cell] = v
             else:
@@ -100,15 +104,11 @@ def verify_certificate(cert: Certificate) -> bool:
 
 def _placements_from_cofactors(cofactors: list[Polynomial],
                                offsets: list[Cell]) -> list[Placement]:
-    """Expand each cofactor term c * x^a y^b into |c| unit placements of the
+    """One placement of weight c per cofactor term c * x^a y^b of the
     corresponding tile, shifted by the tile's offset."""
-    placements = []
-    for tile_index, (cof, (oi, oj)) in enumerate(zip(cofactors, offsets)):
-        for (a, b), c in sorted(cof.terms.items()):
-            sign = 1 if c > 0 else -1
-            placements.extend(Placement(tile_index, (a + oi, b + oj), sign)
-                              for _ in range(abs(c)))
-    return placements
+    return [Placement(tile_index, (a + oi, b + oj), 1 if c > 0 else -1, abs(c))
+            for tile_index, (cof, (oi, oj)) in enumerate(zip(cofactors, offsets))
+            for (a, b), c in sorted(cof.terms.items())]
 
 
 def tile_extent(tile: Region) -> int:
@@ -241,11 +241,15 @@ def parse_tiles_text(text: str) -> list[Region]:
     return tiles
 
 
+def _placement_line(pl: Placement) -> str:
+    """``<+|-> tile a b``, plus a ``count`` column when the count is not 1."""
+    line = f"{'+' if pl.sign > 0 else '-'} {pl.tile} {pl.shift[0]} {pl.shift[1]}"
+    return line if pl.count == 1 else f"{line} {pl.count}"
+
+
 def certificate_to_text(cert: Certificate, region_path: str) -> str:
     lines = [f"tiles={len(cert.prototiles)} region={region_path}"]
-    for pl in cert.placements:
-        sign = "+" if pl.sign > 0 else "-"
-        lines.append(f"{sign} {pl.tile} {pl.shift[0]} {pl.shift[1]}")
+    lines.extend(_placement_line(pl) for pl in cert.placements)
     return "\n".join(lines) + "\n"
 
 
@@ -264,13 +268,16 @@ def parse_certificate_text(text: str) -> tuple[int, str, list[Placement]]:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 4 or parts[0] not in ("+", "-"):
-            raise ValueError(f"line {lineno}: expected '<+|-> tile a b', got {raw!r}")
+        if len(parts) not in (4, 5) or parts[0] not in ("+", "-"):
+            raise ValueError(f"line {lineno}: expected '<+|-> tile a b [count]', got {raw!r}")
         tile = int(parts[1])
         if not 0 <= tile < count:
             raise ValueError(f"line {lineno}: tile index {tile} outside 0..{count - 1}")
+        mult = parts[4] if len(parts) == 5 else "1"
+        if not mult.isdecimal() or int(mult) < 1:
+            raise ValueError(f"line {lineno}: count {mult!r} is not a positive integer")
         placements.append(Placement(tile, (int(parts[2]), int(parts[3])),
-                                    1 if parts[0] == "+" else -1))
+                                    1 if parts[0] == "+" else -1, int(mult)))
     return count, fields["region"], placements
 
 
@@ -315,11 +322,11 @@ def _hex_polygon(i: int, j: int, fill: str) -> str:
 
 
 def render(obj: Certificate | Region, fmt: str = "text") -> bytes:
-    """Render a region or certificate as plain text or an SVG hex drawing."""
+    """Render a region or certificate as plain text or an SVG hex drawing; a
+    certificate draws each placement once, with its count."""
     if fmt == "text":
         if isinstance(obj, Certificate):
-            lines = [f"{'+' if pl.sign > 0 else '-'} {pl.tile} {pl.shift[0]} {pl.shift[1]}"
-                     for pl in obj.placements]
+            lines = [_placement_line(pl) for pl in obj.placements]
             return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
         return region_to_text(obj).encode("utf-8")
     if fmt != "svg":
@@ -333,7 +340,7 @@ def render(obj: Certificate | Region, fmt: str = "text") -> bytes:
                            for i, j in obj.prototiles[pl.tile])
             all_cells.extend(cells)
             polys = "".join(_hex_polygon(i, j, fill) for i, j in cells)
-            groups.append(f'<g opacity="0.7">{polys}</g>')
+            groups.append(f'<g opacity="0.7" data-count="{pl.count}">{polys}</g>')
         return _svg_document(groups, all_cells)
     cells = sorted(obj, key=lambda c: (c[1], c[0]))
     group = "".join(_hex_polygon(i, j, "#cccccc") for i, j in cells)

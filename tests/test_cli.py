@@ -166,6 +166,30 @@ def test_verify_malformed_placement_is_input_error(tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_certificate_file_carries_counts(tmp_path):
+    cert_path = str(tmp_path / "c83.cert")
+    assert run(["certificate", "--n", "3", "--m", "8", "--out", cert_path]) == \
+        (0, "placements=24\n")
+    rows = [line.split() for line in open(cert_path).read().splitlines()[1:]]
+    assert sum(int(r[4]) if len(r) == 5 else 1 for r in rows) == 24
+    assert len(rows) < 24 and any(len(r) == 5 for r in rows)
+    out_path = str(tmp_path / "c83.txt")
+    assert run(["render", "--certificate", cert_path, "--format", "text",
+                "--out", out_path]) == (0, "")
+    assert open(out_path).read().splitlines() == [" ".join(r) for r in rows]
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "x"])
+def test_verify_bad_count_is_input_error(tmp_path, capsys, count):
+    cert_path = str(tmp_path / "c.cert")
+    assert run(["certificate", "--n", "3", "--m", "8", "--out", cert_path])[0] == 0
+    with open(cert_path, "a") as fh:
+        fh.write(f"+ 0 0 0 {count}\n")
+    capsys.readouterr()
+    assert run(["verify", "--certificate", cert_path, "--n", "3"]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_reduce_refuses_mislabelled_basis_file(tmp_path):
     bpath = tmp_path / "basis.txt"
     assert run(["gb", "--n", "3", "--out", str(bpath)])[0] == 0
@@ -224,6 +248,15 @@ def test_homology_box_flag():
     assert run(["homology", "--n", "2", "--box", "4"]) == (0, "Z/2\n")
 
 
+def test_homology_unstable_scan_is_inconclusive(monkeypatch, capsys):
+    from tilegb import homology
+    from tilegb.homology import AbelianGroup
+    monkeypatch.setattr(homology, "stabilized_group",
+                        lambda tiles, lo, hi: (AbelianGroup(1, ()), False))
+    assert run(["homology", "--n", "3"]) == (3, "Z\n")
+    assert capsys.readouterr().err.startswith("warning: box groups did not stabilize")
+
+
 def test_homology_tiles_file(tmp_path, bones3_file):
     assert run(["homology", "--tiles", bones3_file]) == (0, "Z^2 + Z/3\n")
 
@@ -250,3 +283,26 @@ def test_brion_cli():
 def test_missing_file_is_reported():
     assert run(["reduce", "--n", "3", "--poly", "@/no/such/file"])[0] == 2
     assert run(["verify", "--certificate", "/no/such/file", "--n", "3"])[0] == 2
+
+
+def test_reused_parser_does_not_leak_values(tmp_path, monkeypatch):
+    # The parser is built once per process; a flag given to one call must not
+    # carry over to the next.
+    from tilegb import tiling
+    seen = []
+    real = tiling.decide_signed_tiling
+
+    def spy(region, tiles, max_rounds):
+        seen.append(max_rounds)
+        return real(region, tiles, max_rounds)
+
+    monkeypatch.setattr(tiling, "decide_signed_tiling", spy)
+    rpath = region_file(tmp_path, "cell.region", [(0, 0)])
+    tpath = region_file(tmp_path, "cell.tiles", [(0, 0)])
+    argv = ["decide", "--region", rpath, "--tiles", tpath]
+    assert run(argv + ["--max-rounds", "2"]) == (0, "YES\n")
+    assert run(argv) == (0, "YES\n")
+    assert seen == [2, 8]
+    argv = ["reduce", "--n", "3", "--poly", "1 + x + y"]
+    assert run(argv + ["--show-quotients"])[1].count("\n") == 5
+    assert run(argv) == (0, "1 + x + y\n")

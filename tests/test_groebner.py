@@ -390,3 +390,9 @@ def test_basis_serialization_round_trip():
 def test_basis_header_other_than_lex_xy_is_refused(header):
     with pytest.raises(ValueError):
         basis_from_text(header + "\n1 + x\n")
+
+
+def test_basis_file_without_header_keeps_first_polynomial():
+    loaded = basis_from_text("1 + x\nx^2 + y\n")
+    assert loaded.elements == [parse_poly("1 + x"), parse_poly("x^2 + y")]
+    assert loaded.convention == "minabs"

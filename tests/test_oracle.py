@@ -154,3 +154,13 @@ def test_oracle_cross_validates_groebner_route():
         if boxed.solvable:
             assert decision.status != "no", (region, tiles)
             assert verify_certificate(boxed.certificate)
+
+
+def test_oracle_certificate_has_one_placement_per_nonzero_entry():
+    system = placement_system(tri_region(9), nbone_prototiles(3), 6)
+    decision = oracle_decide(tri_region(9), nbone_prototiles(3), 6)
+    assert decision.solvable
+    weights = {(p.tile, p.shift): p.sign * p.count for p in decision.certificate.placements}
+    assert len(weights) == len(decision.certificate.placements)
+    assert weights == {(p.tile, p.shift): z for z, p in zip(decision.solution,
+                                                            system.placements) if z}

@@ -1,17 +1,20 @@
 """Regions, signed-tiling decisions, certificates, files and rendering."""
 
+import dataclasses
 import random
+import time
 
 import pytest
 
 from tilegb.bones import decide_nbone, nbone_prototiles, triangle
 from tilegb.polyring import Polynomial
 from tilegb.tiling import (Certificate, Placement, certificate_nbone,
-                           decide_signed_tiling, newton_polynomial,
-                           normalize_region, parse_certificate_text,
-                           parse_region_text, parse_tiles_text,
-                           region_of_polynomial, region_to_text, render,
-                           tiles_to_text, translate_region, verify_certificate)
+                           certificate_to_text, decide_signed_tiling,
+                           newton_polynomial, normalize_region,
+                           parse_certificate_text, parse_region_text,
+                           parse_tiles_text, region_of_polynomial,
+                           region_to_text, render, tiles_to_text,
+                           translate_region, verify_certificate)
 
 
 def tri_region(m):
@@ -88,6 +91,67 @@ def test_certificate_nbone_figure_case():
 def test_certificate_nbone_rejects_inadmissible():
     with pytest.raises(ValueError):
         certificate_nbone(10, 3)
+
+
+def test_verify_weights_placements_by_count():
+    bone = frozenset({(0, 0), (1, 0), (2, 0)})
+    net_one = Certificate([bone], [Placement(0, (0, 0), 1, 3), Placement(0, (0, 0), -1, 2)],
+                          bone)
+    assert verify_certificate(net_one)
+    assert not verify_certificate(Certificate([bone], [Placement(0, (0, 0), 1, 2)], bone))
+    for bad in (Placement(0, (0, 0), 1, 0), Placement(0, (0, 0), 1, -1),
+                Placement(0, (0, 0), 2, 1), Placement(0, (0, 0), 0, 1)):
+        assert not verify_certificate(Certificate([bone], [bad], frozenset()))
+
+
+# Three rotation-closed 4-cell polyhex families (one tile under its three
+# rotations) whose side-7 triangle admits a signed tiling, as pinned in
+# perfbench/pinned.json.
+YES_FAMILIES = [
+    [[(0, 0), (0, 1), (0, 2), (1, 0)], [(0, 0), (1, 0), (1, 1), (2, 0)],
+     [(0, 1), (0, 2), (1, 1), (2, 0)]],
+    [[(0, 0), (0, 1), (0, 2), (1, 1)], [(0, 0), (0, 1), (1, 0), (2, 0)],
+     [(0, 2), (1, 0), (1, 1), (2, 0)]],
+    [[(0, 0), (0, 1), (0, 2), (1, 2)], [(0, 1), (1, 0), (2, 0), (3, 0)],
+     [(0, 3), (1, 2), (2, 0), (2, 1)]],
+]
+
+
+def weighted_cases():
+    for n in (2, 3):
+        for m in range(1, 2 * n * n + 1):
+            if decide_nbone(m, n):
+                yield tri_region(m), nbone_prototiles(n)
+    for family in YES_FAMILIES:
+        yield tri_region(7), [frozenset(t) for t in family]
+
+
+def test_weighted_certificates_verify_and_reject_tampering():
+    for region, tiles in weighted_cases():
+        cert = decide_signed_tiling(region, tiles).certificate
+        assert verify_certificate(cert)
+        keys = [(p.tile, p.shift) for p in cert.placements]
+        assert len(set(keys)) == len(keys)  # one placement per (tile, shift)
+        k = len(cert.placements) // 2
+        pl = cert.placements[k]
+        for tampered in (dataclasses.replace(pl, sign=-pl.sign),
+                         dataclasses.replace(pl, count=0),
+                         dataclasses.replace(pl, count=-1)):
+            placements = list(cert.placements)
+            placements[k] = tampered
+            assert not verify_certificate(Certificate(cert.prototiles, placements,
+                                                      cert.region))
+
+
+@pytest.mark.parametrize("n, m, units, distinct", [(3, 18, 291_309, 137),
+                                                   (4, 16, 2_122_458, 96)])
+def test_decide_certificate_sizes(n, m, units, distinct):
+    start = time.perf_counter()
+    cert = decide_signed_tiling(tri_region(m), nbone_prototiles(n)).certificate
+    assert verify_certificate(cert)
+    assert time.perf_counter() - start < 1.0
+    assert len(cert.placements) == distinct
+    assert sum(p.count for p in cert.placements) == units
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +257,26 @@ def test_certificate_file_round_trip():
         parse_certificate_text("tiles=3 region=r\n? 0 1 2\n")
 
 
+def test_certificate_file_count_column():
+    cert = decide_signed_tiling(tri_region(18), nbone_prototiles(3)).certificate
+    text = certificate_to_text(cert, "r")
+    lines = text.splitlines()[1:]
+    assert len(lines) == len(cert.placements)
+    for line, pl in zip(lines, cert.placements):
+        assert len(line.split()) == (4 if pl.count == 1 else 5)
+    assert any(pl.count > 1 for pl in cert.placements)
+    assert parse_certificate_text(text) == (3, "r", cert.placements)
+    # Four-column files (every count 1) still parse.
+    _, _, placements = parse_certificate_text("tiles=3 region=r\n+ 1 2 3\n- 0 0 0 1\n")
+    assert placements == [Placement(1, (2, 3), 1), Placement(0, (0, 0), -1)]
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "x", "1.5"])
+def test_certificate_count_must_be_positive_integer(count):
+    with pytest.raises(ValueError, match="count"):
+        parse_certificate_text(f"tiles=3 region=r\n+ 0 0 0 {count}\n")
+
+
 @pytest.mark.parametrize("line", ["+ -3 0 0", "+ 3 0 0", "- 5 0 0"])
 def test_certificate_tile_index_outside_range_is_refused(line):
     with pytest.raises(ValueError):
@@ -235,6 +319,17 @@ def test_render_svg_certificate():
     assert svg.rstrip().endswith(b"</svg>")
     assert svg.count(b"<g ") == len(cert.placements)
     assert render(cert, "svg") == svg  # deterministic
+
+
+def test_render_weighted_certificate():
+    bone = frozenset({(0, 0), (1, 0)})
+    cert = Certificate([bone], [Placement(0, (0, 0), 1, 3), Placement(0, (2, 0), -1)],
+                       frozenset())
+    assert render(cert, "text") == b"+ 0 0 0 3\n- 0 2 0\n"
+    svg = render(cert, "svg").decode()
+    assert svg.count("<g ") == 2
+    assert '<g opacity="0.7" data-count="3">' in svg
+    assert '<g opacity="0.7" data-count="1">' in svg
 
 
 def test_render_empty_region_svg():
