@@ -13,7 +13,7 @@ from .tiling import (Certificate, Placement, TilingDecision, certificate_nbone,
                      render, verify_certificate)
 from .homology import (AbelianGroup, box_group, nbone_homology, snf,
                        stabilized_group)
-from .brion import fast_triangle, rational_form_T, verify_brion
+from .brion import rational_form_T, verify_brion
 from .oracle import OracleDecision, hnf_solve, oracle_decide
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "decide_signed_tiling", "newton_polynomial", "normalize_region", "render",
     "verify_certificate",
     "AbelianGroup", "box_group", "nbone_homology", "snf", "stabilized_group",
-    "fast_triangle", "rational_form_T", "verify_brion",
+    "rational_form_T", "verify_brion",
     "OracleDecision", "hnf_solve", "oracle_decide",
 ]
 

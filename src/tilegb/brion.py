@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bones import b3_poly, triangle
+from .bones import triangle
 from .polyring import Polynomial
 
 
@@ -77,14 +77,3 @@ def verify_brion(m: int) -> bool:
            - _p({(m + 1, 0): 1}) * _p({(0, 0): 1, (0, 1): -1})
            + _p({(0, m + 1): 1}) * _p({(0, 0): 1, (1, 0): -1}))
     return triangle(m) * delta == rhs
-
-
-def fast_triangle(m: int) -> Polynomial:
-    """triangle(m) built from the recurrence T(k) = T(k-1) + b3(k)."""
-    if m < 0:
-        raise ValueError("negative side length")
-    acc: dict[tuple[int, int], int] = {}
-    for k in range(1, m + 1):
-        for mono, c in b3_poly(k).terms.items():
-            acc[mono] = acc.get(mono, 0) + c
-    return Polynomial(acc)

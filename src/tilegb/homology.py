@@ -43,19 +43,6 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass
-class Presentation:
-    """Box presentation: one generator per cell of [0, D)^2 and one relation
-    row per tile translate fully inside the box."""
-
-    box_side: int
-    relations: list[dict[int, int]]
-
-    @property
-    def num_generators(self) -> int:
-        return self.box_side * self.box_side
-
-
 def _dense_snf(M: list[list[int]]) -> list[int]:
     """Diagonal of the Smith normal form (nonzero entries, chained); standard
     elimination with smallest-pivot selection, exact integer arithmetic."""
@@ -177,9 +164,9 @@ def snf(M: list[list[int]]) -> tuple[list[int], int]:
     return _sparse_invariants(rows)
 
 
-def box_presentation(prototiles: list[Region], box_side: int) -> Presentation:
-    """All translates of each prototile fully supported in [0, D)^2, as
-    coefficient rows over the D^2 cell generators (cell (p, q) -> p*D + q)."""
+def box_presentation(prototiles: list[Region], box_side: int) -> list[dict[int, int]]:
+    """All translates of each prototile fully supported in [0, D)^2, as sparse
+    relation rows over the D^2 cell generators (cell (p, q) -> p*D + q)."""
     if not prototiles:
         raise ValueError("empty prototile list")
     d = box_side
@@ -195,21 +182,14 @@ def box_presentation(prototiles: list[Region], box_side: int) -> Presentation:
         for a in range(d - w):
             for b in range(d - h):
                 relations.append({(p + a) * d + (q + b): c for (p, q), c in base})
-    return Presentation(d, relations)
+    return relations
 
 
 def box_group(prototiles: list[Region], box_side: int) -> AbelianGroup:
     """Cokernel of the box presentation: free rank = generators - rank and the
     invariant factors exceeding 1."""
-    pres = box_presentation(prototiles, box_side)
-    matrix = []
-    for vec in pres.relations:
-        row = [0] * pres.num_generators
-        for c, v in vec.items():
-            row[c] = v
-        matrix.append(row)
-    factors, rank = snf(matrix)
-    return AbelianGroup(pres.num_generators - rank,
+    factors, rank = _sparse_invariants(box_presentation(prototiles, box_side))
+    return AbelianGroup(box_side * box_side - rank,
                         tuple(f for f in factors if f != 1))
 
 

@@ -18,12 +18,13 @@ from .tiling import Certificate, Placement, Region, verify_certificate
 
 @dataclass
 class PlacementSystem:
-    """The linear system of one box: ``matrix`` has one row per box cell and
-    one 0/1 column per placement; ``target`` is the region indicator."""
+    """The linear system of one box: ``matrix`` has one sparse row per box
+    cell, ``{placement index: 1}`` for the placements covering it;
+    ``target`` is the region indicator."""
 
     box: tuple[int, int, int, int]  # x0, x1, y0, y1 with half-open ranges
     placements: list[Placement]
-    matrix: list[list[int]]
+    matrix: list[dict[int, int]]
     target: list[int]
 
 
@@ -42,36 +43,42 @@ class OracleDecision:
         return "yes" if self.solvable else "no_solution_in_box"
 
 
-def hnf_solve(A: list[list[int]], t: list[int]) -> list[int] | None:
-    """Some integer solution of A z = t, or None when none exists.
+def _solve_rows(rows: list[dict[int, int]], ncols: int, t: list[int]) -> list[int] | None:
+    """Some integer solution z (length ``ncols``) of the sparse-row system
+    rows z = t, or None when none exists.
 
     Columns are inserted into an echelon lattice with the unimodular
     combination tracked; t is then expressed over the lattice.
     """
+    columns: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            columns[c][i] = v
+    # Insert sparsest-leading first: distinct leading rows insert without work.
+    order = sorted(range(ncols), key=lambda c: (min(columns[c], default=len(rows)), c))
+    pivots: dict[int, dict[int, int]] = {}
+    for c in order:
+        columns[c][PROV_BASE + c] = 1
+        echelon_insert(pivots, columns[c])
+    combo = lattice_express(pivots, {i: v for i, v in enumerate(t) if v})
+    if combo is None:
+        return None
+    z = [0] * ncols
+    for c, v in combo.items():
+        z[c] = v
+    return z
+
+
+def hnf_solve(A: list[list[int]], t: list[int]) -> list[int] | None:
+    """Some integer solution of the dense system A z = t, or None when none
+    exists."""
     m = len(A)
     if len(t) != m:
         raise ValueError(f"dimension mismatch: {m} rows vs {len(t)} targets")
     k = len(A[0]) if m else 0
     if any(len(row) != k for row in A):
         raise ValueError("ragged matrix")
-    columns = []
-    for c in range(k):
-        vec = {i: A[i][c] for i in range(m) if A[i][c]}
-        vec[PROV_BASE + c] = 1
-        columns.append(vec)
-    # Insert sparsest-leading first: distinct leading rows insert without work.
-    order = sorted(range(k), key=lambda c: (min((i for i in columns[c] if i < PROV_BASE),
-                                                default=m), c))
-    pivots: dict[int, dict[int, int]] = {}
-    for c in order:
-        echelon_insert(pivots, columns[c])
-    combo = lattice_express(pivots, {i: v for i, v in enumerate(t) if v})
-    if combo is None:
-        return None
-    z = [0] * k
-    for c, v in combo.items():
-        z[c] = v
-    return z
+    return _solve_rows([{j: v for j, v in enumerate(row) if v} for row in A], k, t)
 
 
 def placement_system(region: Region, prototiles: list[Region], margin: int) -> PlacementSystem:
@@ -96,20 +103,17 @@ def placement_system(region: Region, prototiles: list[Region], margin: int) -> P
     for j in range(y0, y1):
         for i in range(x0, x1):
             cell_index[(i, j)] = (j - y0) * width + (i - x0)
+    ncells = width * (y1 - y0)
+    matrix: list[dict[int, int]] = [{} for _ in range(ncells)]
     placements = []
-    columns = []
     for tidx, tile in enumerate(prototiles):
         tis = [i for i, _ in tile]
         tjs = [j for _, j in tile]
         for b in range(y0 - min(tjs), y1 - max(tjs)):
             for a in range(x0 - min(tis), x1 - max(tis)):
+                for i, j in tile:
+                    matrix[cell_index[(i + a, j + b)]][len(placements)] = 1
                 placements.append(Placement(tidx, (a, b), 1))
-                columns.append([cell_index[(i + a, j + b)] for i, j in tile])
-    ncells = width * (y1 - y0)
-    matrix = [[0] * len(placements) for _ in range(ncells)]
-    for c, rows in enumerate(columns):
-        for r in rows:
-            matrix[r][c] = 1
     target = [0] * ncells
     for cell in region:
         target[cell_index[cell]] = 1
@@ -124,7 +128,7 @@ def oracle_decide(region: Region, prototiles: list[Region], margin: int) -> Orac
     the box might still make a tiling possible.
     """
     system = placement_system(region, prototiles, margin)
-    z = hnf_solve(system.matrix, system.target)
+    z = _solve_rows(system.matrix, len(system.placements), system.target)
     if z is None:
         return OracleDecision(False)
     placements = [Placement(pl.tile, pl.shift, 1 if mult > 0 else -1, abs(mult))

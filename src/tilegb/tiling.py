@@ -50,10 +50,6 @@ class TilingDecision:
     certificate: Certificate | None = None
 
 
-def region_from_cells(cells) -> Region:
-    return frozenset((int(i), int(j)) for i, j in cells)
-
-
 def translate_region(region: Region, di: int, dj: int) -> Region:
     return frozenset((i + di, j + dj) for i, j in region)
 
@@ -102,13 +98,25 @@ def verify_certificate(cert: Certificate) -> bool:
     return acc == {cell: 1 for cell in cert.region}
 
 
-def _placements_from_cofactors(cofactors: list[Polynomial],
-                               offsets: list[Cell]) -> list[Placement]:
-    """One placement of weight c per cofactor term c * x^a y^b of the
-    corresponding tile, shifted by the tile's offset."""
-    return [Placement(tile_index, (a + oi, b + oj), 1 if c > 0 else -1, abs(c))
-            for tile_index, (cof, (oi, oj)) in enumerate(zip(cofactors, offsets))
-            for (a, b), c in sorted(cof.terms.items())]
+def _certificate_from_quotients(quotients: list[Polynomial],
+                                cofactor_rows: list[list[Polynomial]],
+                                prototiles: list[Region], region: Region,
+                                offsets: list[Cell]) -> Certificate:
+    """Certificate from a zero-remainder division: the quotients times the
+    basis cofactor rows give one cofactor per prototile, and each cofactor
+    term c * x^a y^b becomes one placement of weight c, shifted by the tile's
+    offset.  The certificate is verified before it is returned."""
+    cof = [Polynomial.zero() for _ in prototiles]
+    for q, row in zip(quotients, cofactor_rows):
+        if q:
+            cof = [c + q * rc for c, rc in zip(cof, row)]
+    placements = [Placement(tile_index, (a + oi, b + oj), 1 if c > 0 else -1, abs(c))
+                  for tile_index, (cf, (oi, oj)) in enumerate(zip(cof, offsets))
+                  for (a, b), c in sorted(cf.terms.items())]
+    cert = Certificate(list(prototiles), placements, region)
+    if not verify_certificate(cert):
+        raise RuntimeError("internal error: extracted certificate failed verification")
+    return cert
 
 
 def tile_extent(tile: Region) -> int:
@@ -132,6 +140,8 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
         raise ValueError("empty prototile list")
     if any(not t for t in prototiles):
         raise ValueError("empty prototile")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     norm_tiles = []
     offsets = []
     for tile in prototiles:
@@ -160,17 +170,10 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
         res = groebner.reduce(shifted, G)
         if not res.remainder.is_zero():
             continue
-        # Express the shifted region polynomial over the original generators.
-        cof = [Polynomial.zero() for _ in gens]
-        for q, row in zip(res.quotients, G.cofactors):
-            if q:
-                cof = [c + q * rc for c, rc in zip(cof, row)]
         shift_back = (-t * d - ri, -t * d - rj)
         total_offsets = [(oi + shift_back[0], oj + shift_back[1]) for oi, oj in offsets]
-        placements = _placements_from_cofactors(cof, total_offsets)
-        cert = Certificate(list(prototiles), placements, region)
-        if not verify_certificate(cert):
-            raise RuntimeError("internal error: extracted certificate failed verification")
+        cert = _certificate_from_quotients(res.quotients, G.cofactors, prototiles,
+                                           region, total_offsets)
         return TilingDecision("yes", cert)
     return TilingDecision("no" if decisive else "inconclusive")
 
@@ -184,17 +187,9 @@ def certificate_nbone(m: int, n: int) -> Certificate:
     res = groebner.reduce(bones.triangle(m), bs.basis)
     if not res.remainder.is_zero():
         raise RuntimeError("internal error: admissible triangle did not reduce to zero")
-    cof = [Polynomial.zero() for _ in range(3)]
-    for q, row in zip(res.quotients, bs.basis.cofactors):
-        if q:
-            cof = [c + q * rc for c, rc in zip(cof, row)]
-    prototiles = bones.nbone_prototiles(n)
     region = frozenset((i, j) for i in range(m) for j in range(m - i))
-    placements = _placements_from_cofactors(cof, [(0, 0)] * 3)
-    cert = Certificate(prototiles, placements, region)
-    if not verify_certificate(cert):
-        raise RuntimeError("internal error: n-bone certificate failed verification")
-    return cert
+    return _certificate_from_quotients(res.quotients, bs.basis.cofactors,
+                                       bones.nbone_prototiles(n), region, [(0, 0)] * 3)
 
 
 # ---------------------------------------------------------------------------

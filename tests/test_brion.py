@@ -3,7 +3,7 @@
 import pytest
 
 from tilegb.bones import triangle
-from tilegb.brion import fast_triangle, form_denotes, rational_form_T, verify_brion
+from tilegb.brion import form_denotes, rational_form_T, verify_brion
 from tilegb.polyring import Polynomial, format_poly, parse_poly
 
 
@@ -42,15 +42,8 @@ def test_brion_hand_anchor_m1():
     assert triangle(1) == Polynomial.constant(1)
 
 
-@pytest.mark.parametrize("m", [0, 2, 30])
-def test_fast_triangle_equals_triangle(m):
-    assert fast_triangle(m) == triangle(m)
-
-
 def test_rejects_negative():
     with pytest.raises(ValueError):
         rational_form_T(-1)
     with pytest.raises(ValueError):
         verify_brion(-2)
-    with pytest.raises(ValueError):
-        fast_triangle(-1)

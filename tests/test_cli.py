@@ -84,6 +84,16 @@ def test_decide_generic_inconclusive(tmp_path):
     assert (code, out) == (3, "INCONCLUSIVE\n")
 
 
+def test_decide_negative_max_rounds_is_usage_error(tmp_path, capsys):
+    rpath = region_file(tmp_path, "diag.region", [(0, 0), (1, 1)])
+    tpath = tmp_path / "diag.tiles"
+    tpath.write_text("0 0\n1 1\n")
+    argv = ["decide", "--region", rpath, "--tiles", str(tpath), "--max-rounds"]
+    assert run(argv + ["0"]) == (0, "YES\n")
+    assert run(argv + ["-1"]) == (2, "")
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

@@ -93,12 +93,26 @@ def test_abelian_group_validation():
 
 
 def test_box_presentation_rows():
-    pres = box_presentation([frozenset({(0, 0), (1, 0)})], 3)
-    assert pres.num_generators == 9
+    rows = box_presentation([frozenset({(0, 0), (1, 0)})], 3)
     # shifts: a in 0..1, b in 0..2
-    assert len(pres.relations) == 6
-    for row in pres.relations:
+    assert len(rows) == 6
+    for row in rows:
         assert sorted(row.values()) == [1, 1]
+
+
+def test_box_group_matches_dense_snf():
+    # box_group reduces the sparse rows directly; snf on the densified rows
+    # is the reference.
+    rng = random.Random(303)
+    for _ in range(40):
+        tiles = [frozenset((rng.randrange(3), rng.randrange(3))
+                           for _ in range(rng.randrange(1, 5)))
+                 for _ in range(rng.randrange(1, 3))]
+        d = rng.randrange(3, 7)
+        rows = box_presentation(tiles, d)
+        factors, rank = snf([[row.get(c, 0) for c in range(d * d)] for row in rows])
+        assert box_group(tiles, d) == AbelianGroup(d * d - rank,
+                                                   tuple(f for f in factors if f != 1))
 
 
 def test_box_group_single_cell():

@@ -80,7 +80,24 @@ def test_placement_system_shape():
     assert sum(system.target) == 3
     # every column has exactly |prototile| ones
     for c in range(len(system.placements)):
-        assert sum(row[c] for row in system.matrix) == 2
+        assert sum(row.get(c, 0) for row in system.matrix) == 2
+
+
+def test_oracle_solution_matches_dense_hnf_solve():
+    # The oracle solves the sparse rows directly; the public dense entry point
+    # on the densified system is the reference and must give the same vector.
+    rng = random.Random(404)
+    for _ in range(60):
+        tiles = [frozenset((rng.randrange(3), rng.randrange(3))
+                           for _ in range(rng.randrange(1, 5)))
+                 for _ in range(rng.randrange(1, 3))]
+        region = frozenset((i, j) for i in range(4) for j in range(4)
+                           if rng.random() < 0.4)
+        margin = rng.randrange(0, 4)
+        system = placement_system(region, tiles, margin)
+        k = len(system.placements)
+        dense = [[row.get(c, 0) for c in range(k)] for row in system.matrix]
+        assert oracle_decide(region, tiles, margin).solution == hnf_solve(dense, system.target)
 
 
 def test_placement_system_rejects_bad_input():

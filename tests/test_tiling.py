@@ -184,6 +184,15 @@ def test_decide_inconclusive_without_stabilization():
     assert decision.status == "inconclusive"
 
 
+def test_decide_refuses_negative_max_rounds():
+    # Round 0 (t = 0) is always tested, so a negative bound is a usage error,
+    # not a silent INCONCLUSIVE.
+    diag = [frozenset({(0, 0), (1, 1)})]
+    assert decide_signed_tiling(diag[0], diag, max_rounds=0).status == "yes"
+    with pytest.raises(ValueError):
+        decide_signed_tiling(diag[0], diag, max_rounds=-1)
+
+
 @pytest.mark.parametrize("n", (2, 3))
 def test_decide_agrees_with_residue_rule(n):
     tiles = nbone_prototiles(n)
