@@ -1,12 +1,12 @@
 """Signed polyomino tilings decided by strong Groebner bases over Z."""
 
 from .polyring import (LEX, Polynomial, TermOrder, coeff_divmod, diff_quotient,
-                       format_poly, lex_compare, parse_poly)
+                       format_poly, parse_poly)
 from .groebner import (GroebnerBasis, ReductionResult, buchberger, g_polynomial,
                        ideal_member, reduce, remainder, s_polynomial,
                        verify_strong_gb)
 from .bones import (BoneSystem, b3_remainder, bone_polynomials, bone_system,
-                    decide_nbone, basis_cofactors, nbone_prototiles,
+                    decide_nbone, nbone_prototiles,
                     t_remainder_closed, triangle)
 from .tiling import (Certificate, Placement, TilingDecision, certificate_nbone,
                      decide_signed_tiling, newton_polynomial, normalize_region,
@@ -18,11 +18,11 @@ from .oracle import OracleDecision, hnf_solve, oracle_decide
 
 __all__ = [
     "LEX", "Polynomial", "TermOrder", "coeff_divmod", "diff_quotient",
-    "format_poly", "lex_compare", "parse_poly",
+    "format_poly", "parse_poly",
     "GroebnerBasis", "ReductionResult", "buchberger", "g_polynomial",
     "ideal_member", "reduce", "remainder", "s_polynomial", "verify_strong_gb",
     "BoneSystem", "b3_remainder", "bone_polynomials", "bone_system",
-    "decide_nbone", "basis_cofactors", "nbone_prototiles", "t_remainder_closed",
+    "decide_nbone", "nbone_prototiles", "t_remainder_closed",
     "triangle",
     "Certificate", "Placement", "TilingDecision", "certificate_nbone",
     "decide_signed_tiling", "newton_polynomial", "normalize_region", "render",

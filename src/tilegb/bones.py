@@ -92,11 +92,6 @@ def bone_system(n: int) -> BoneSystem:
     return BoneSystem(n, b1, b2, b3, basis)
 
 
-def basis_cofactors(n: int) -> list[list[Polynomial]]:
-    """Rows expressing (g1, g2, g3, g4) over (b1, b2, b3)."""
-    return [list(row) for row in bone_system(n).basis.cofactors]
-
-
 def b3_remainder(m: int, n: int) -> Polynomial:
     """Closed-form remainder of b3(m) against the n-bone basis: b3(m mod n)."""
     if n < 2:

@@ -92,11 +92,6 @@ class GroebnerBasis:
                 found.append(None)
         return tuple(found)
 
-    def reordered(self, perm: list[int]) -> GroebnerBasis:
-        """Same basis with elements permuted (used to probe confluence)."""
-        return GroebnerBasis([self.elements[i] for i in perm], self.order,
-                             self.convention, verified=self.verified)
-
 
 @dataclass
 class ReductionResult:

@@ -6,6 +6,7 @@ from monomial to nonzero coefficient.  The default ring is Z[x, y].
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -34,18 +35,6 @@ class TermOrder:
 
 
 LEX = TermOrder()
-
-
-def lex_compare(u: Mono, v: Mono, order: TermOrder = LEX) -> int:
-    """Compare monomials under ``order``: -1 (less), 0 (equal) or +1 (greater)."""
-    if len(u) != len(v):
-        raise ValueError(f"arity mismatch: {len(u)} vs {len(v)}")
-    ku, kv = order.key(u), order.key(v)
-    return (ku > kv) - (ku < kv)
-
-
-def mono_mul(u: Mono, v: Mono) -> Mono:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def mono_divides(u: Mono, v: Mono) -> bool:
@@ -118,10 +107,6 @@ class Polynomial:
     def variable(index: int, nvars: int = 2) -> Polynomial:
         mono = tuple(1 if i == index else 0 for i in range(nvars))
         return Polynomial({mono: 1}, nvars)
-
-    @staticmethod
-    def term(coeff: int, mono: Mono) -> Polynomial:
-        return Polynomial({tuple(mono): coeff}, len(mono))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -198,24 +183,12 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> Polynomial:
-        if e < 0:
-            raise ValueError("negative power")
-        acc = Polynomial.constant(1, self.nvars)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     def mul_term(self, coeff: int, mono: Mono) -> Polynomial:
         """Multiply by the single term coeff * x^mono."""
         if coeff == 0:
             return Polynomial.zero(self.nvars)
-        return Polynomial._make({mono_mul(m, mono): coeff * c for m, c in self.terms.items()},
-                                self.nvars)
+        return Polynomial._make({tuple(a + b for a, b in zip(m, mono)): coeff * c
+                                 for m, c in self.terms.items()}, self.nvars)
 
     def leading_term(self, order: TermOrder = LEX) -> tuple[Mono, int]:
         """(monomial, coefficient) of the largest term under ``order``."""
@@ -233,16 +206,6 @@ class Polynomial:
     def max_exponent(self, var: int) -> int:
         """Largest exponent of variable ``var``; 0 for the zero polynomial."""
         return max((m[var] for m in self.terms), default=0)
-
-    def permute_vars(self, perm: tuple[int, ...]) -> Polynomial:
-        """Relabel variables: exponent of old variable i moves to perm[i]."""
-        data = {}
-        for m, c in self.terms.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(m):
-                new[perm[i]] = e
-            data[tuple(new)] = c
-        return Polynomial(data, self.nvars)
 
     def __repr__(self) -> str:
         return f"Polynomial({format_poly(self)!r})"
@@ -326,80 +289,45 @@ def format_poly(p: Polynomial) -> str:
     return " ".join(parts)
 
 
+# The grammar, written once: a term is an optional integer coefficient and
+# x/y factors with optional ``^exponent``, joined by '*'; terms are joined by
+# '+'/'-', and the first may carry a sign.  From ``pos``, _STEP matches the
+# longest prefix that continues a valid polynomial by one term: its sign
+# (optional only at the start of the text), the term, then at most one
+# operator still waiting for its operand (group "wait").  Matching term by
+# term keeps memory flat: one match over the whole text keeps a backtracking
+# frame per repetition (27 MB for the side-192 triangle).
+_FACTOR = r"\s*[xy](?:\s*\^\s*\d+)?"
+_STEP = re.compile(rf"(?P<sign>^\s*[+-]?|\s*[+-])(?P<term>(?:\s*\d+|{_FACTOR})"
+                   rf"(?:\s*\*{_FACTOR})*(?P<wait>(?<=[xy])\s*\^|\s*\*)?)?\s*")
+
+
 def parse_poly(text: str) -> Polynomial:
-    """Parse the canonical grammar: terms of optional integer coefficient and
-    x/y power factors joined by '+'/'-'.  Inverse of format_poly."""
+    """Parse the canonical grammar (inverse of format_poly).  Malformed text
+    raises PolyParseError at the first position no valid polynomial can
+    continue from."""
+    data: dict[Mono, int] = {}
     pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def read_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise PolyParseError("expected integer", start)
-        return int(text[start:pos])
-
-    def read_factor() -> tuple[int, int]:
-        # returns (variable index, exponent)
-        nonlocal pos
-        var = text[pos]
-        if var not in VAR_NAMES:
-            raise PolyParseError(f"expected variable, got {var!r}", pos)
-        pos += 1
-        exp = 1
-        skip_ws()
-        if pos < n and text[pos] == "^":
-            pos += 1
-            skip_ws()
-            exp = read_int()
-        return VAR_NAMES.index(var), exp
-
-    terms: list[tuple[Mono, int]] = []
-    skip_ws()
-    if pos >= n:
-        raise PolyParseError("empty polynomial", pos)
-    sign = 1
-    if text[pos] in "+-":
-        sign = -1 if text[pos] == "-" else 1
-        pos += 1
     while True:
-        skip_ws()
-        if pos >= n:
-            raise PolyParseError("expected term", pos)
-        coeff = sign
-        exps = [0, 0]
-        if text[pos].isdigit():
-            coeff *= read_int()
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                vi, e = read_factor()
-                exps[vi] += e
-        elif text[pos] in VAR_NAMES:
-            vi, e = read_factor()
-            exps[vi] += e
+        m = _STEP.match(text, pos)
+        if m:
+            pos = m.end()
+        if not m or not m["term"] or m["wait"]:
+            raise PolyParseError(f"unexpected {text[pos]!r}" if pos < len(text)
+                                 else "incomplete polynomial", pos)
+        coeff = -1 if m["sign"].endswith("-") else 1
+        i = j = 0
+        for factor in "".join(m["term"].split()).split("*"):
+            if factor[0] == "x":
+                i += int(factor[2:] or 1)
+            elif factor[0] == "y":
+                j += int(factor[2:] or 1)
+            else:
+                coeff *= int(factor)
+        c = data.get((i, j), 0) + coeff
+        if c:
+            data[i, j] = c
         else:
-            raise PolyParseError(f"expected term, got {text[pos]!r}", pos)
-        skip_ws()
-        while pos < n and text[pos] == "*":
-            pos += 1
-            skip_ws()
-            vi, e = read_factor()
-            exps[vi] += e
-            skip_ws()
-        terms.append(((exps[0], exps[1]), coeff))
-        if pos >= n:
-            break
-        if text[pos] not in "+-":
-            raise PolyParseError(f"expected '+' or '-', got {text[pos]!r}", pos)
-        sign = -1 if text[pos] == "-" else 1
-        pos += 1
-    return Polynomial(terms, 2)
+            data.pop((i, j), None)
+        if pos == len(text):
+            return Polynomial._make(data, 2)

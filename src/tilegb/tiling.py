@@ -71,13 +71,6 @@ def newton_polynomial(region: Region) -> Polynomial:
     return Polynomial({(i, j): 1 for i, j in region})
 
 
-def region_of_polynomial(p: Polynomial) -> Region:
-    """Inverse of newton_polynomial on 0/1-coefficient polynomials."""
-    if any(c != 1 for c in p.terms.values()):
-        raise ValueError("polynomial has a coefficient other than 1")
-    return frozenset(p.terms)
-
-
 def verify_certificate(cert: Certificate) -> bool:
     """Cell-by-cell integer accumulation of ``sign * count`` per placement; no
     polynomial machinery involved."""

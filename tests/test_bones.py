@@ -4,7 +4,7 @@ import pytest
 
 from tilegb import groebner
 from tilegb.bones import (b3_poly, b3_remainder, bone_polynomials, bone_system,
-                          decide_nbone, basis_cofactors, nbone_prototiles,
+                          decide_nbone, nbone_prototiles,
                           t_remainder_closed, triangle)
 from tilegb.groebner import buchberger, reduce
 from tilegb.polyring import Polynomial, coeff_divmod, format_poly, parse_poly
@@ -78,7 +78,7 @@ def test_cofactors_exact(n):
 
 
 def test_cofactor_rows_shape():
-    rows = basis_cofactors(3)
+    rows = bone_system(3).basis.cofactors
     one = Polynomial.constant(1)
     zero = Polynomial.zero()
     assert rows[0] == [one, zero, zero]

@@ -111,9 +111,12 @@ def test_reduce_show_quotients():
     assert lines[1:] == ["q[0] = x + y", "q[1] = -1 + y", "q[2] = 1", "q[3] = 0"]
 
 
-def test_reduce_bad_poly_is_usage_error():
+def test_reduce_bad_poly_is_usage_error(capsys):
     assert run(["reduce", "--n", "3", "--poly", "1 +"])[0] == 2
     assert run(["reduce", "--n", "3", "--basis", "b", "--poly", "1"])[0] == 2
+    capsys.readouterr()
+    assert run(["reduce", "--n", "3", "--poly", "3*"]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_reduce_from_basis_file(tmp_path, t6_file):
@@ -293,6 +296,41 @@ def test_brion_cli():
 def test_missing_file_is_reported():
     assert run(["reduce", "--n", "3", "--poly", "@/no/such/file"])[0] == 2
     assert run(["verify", "--certificate", "/no/such/file", "--n", "3"])[0] == 2
+
+
+# Every verb that reads a file, fed a malformed one: (argv, file text).  Each
+# must exit 2 with an "error:" line; an exception the CLI does not map (say,
+# an IndexError from a parser) escapes run() and fails the test.
+MALFORMED_FILES = {
+    "reduce-poly-file": (["reduce", "--n", "3", "--poly", "@{bad}"], "3*\n"),
+    "reduce-basis": (["reduce", "--basis", "{bad}", "--poly", "1"],
+                     "order=lex vars=x,y conv=minabs\nx*\n"),
+    "decide-region": (["decide", "--region", "{bad}", "--tiles", "{tiles}"], "0 0\n1 x\n"),
+    "decide-tiles": (["decide", "--region", "{region}", "--tiles", "{bad}"], "0\n"),
+    "gb-tiles": (["gb", "--tiles", "{bad}"], "# no tiles\n"),
+    "homology-tiles": (["homology", "--tiles", "{bad}"], "0 0 0\n"),
+    "oracle-region": (["oracle", "--region", "{bad}", "--tiles", "{tiles}"], "a b\n"),
+    "oracle-tiles": (["oracle", "--region", "{region}", "--tiles", "{bad}"], "0 0\n\n1\n"),
+    "verify-certificate": (["verify", "--certificate", "{bad}", "--n", "3"], "tiles=3\n"),
+    "verify-region": (["verify", "--certificate", "{cert}", "--n", "3"], "0 0 0\n"),
+    "render-region": (["render", "--region", "{bad}", "--out", "{out}"], "1\n"),
+    "render-certificate": (["render", "--certificate", "{bad}", "--out", "{out}"],
+                           "tiles=1 region=r\n+ 0 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_is_input_error(tmp_path, capsys, bones3_file, case):
+    argv, text = MALFORMED_FILES[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    cert = tmp_path / "c.cert"
+    cert.write_text(f"tiles=3 region={bad}\n+ 0 0 0\n")
+    paths = {"bad": bad, "tiles": bones3_file, "cert": cert, "out": tmp_path / "out",
+             "region": region_file(tmp_path, "t8.region", tri(8))}
+    capsys.readouterr()
+    assert run([arg.format(**paths) for arg in argv]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_reused_parser_does_not_leak_values(tmp_path, monkeypatch):

@@ -1,14 +1,15 @@
 """Polynomial ring: arithmetic, orders, coefficient division, parsing."""
 
 import random
+import time
 
 import pytest
 
 from helpers import random_poly
-from tilegb.bones import b3_poly, bone_polynomials
+from tilegb.bones import b3_poly, bone_polynomials, triangle
 from tilegb.polyring import (LEX, Polynomial, PolyParseError, TermOrder,
                              coeff_divmod, diff_quotient, format_poly,
-                             lex_compare, parse_poly)
+                             parse_poly)
 
 
 def test_add_cancellation():
@@ -55,11 +56,9 @@ def test_ring_axioms_random():
 
 
 def test_lex_compare_examples():
-    assert lex_compare((2, 0), (1, 5)) == 1  # x^2 > x*y^5
-    assert lex_compare((2, 3), (2, 3)) == 0
-    assert lex_compare((0, 1), (0, 0)) == 1  # y > 1
-    with pytest.raises(ValueError):
-        lex_compare((1, 0), (1, 0, 0))
+    assert LEX.key((2, 0)) > LEX.key((1, 5))  # x^2 > x*y^5
+    assert LEX.key((2, 3)) == LEX.key((2, 3))
+    assert LEX.key((0, 1)) > LEX.key((0, 0))  # y > 1
 
 
 def test_lex_order_is_multiplicative():
@@ -68,15 +67,15 @@ def test_lex_order_is_multiplicative():
         u = (rng.randrange(6), rng.randrange(6))
         v = (rng.randrange(6), rng.randrange(6))
         w = (rng.randrange(6), rng.randrange(6))
-        c = lex_compare(u, v)
         uw = (u[0] + w[0], u[1] + w[1])
         vw = (v[0] + w[0], v[1] + w[1])
-        assert lex_compare(uw, vw) == c
+        assert (LEX.key(u) < LEX.key(v)) == (LEX.key(uw) < LEX.key(vw))
+        assert (LEX.key(u) == LEX.key(v)) == (LEX.key(uw) == LEX.key(vw))
 
 
 def test_y_before_x_precedence():
     order = TermOrder(precedence=(1, 0))
-    assert lex_compare((2, 0), (1, 5), order) == -1
+    assert order.key((2, 0)) < order.key((1, 5))  # y^5*x > x^2 when y leads
 
 
 @pytest.mark.parametrize("a,d,conv,expected", [
@@ -131,13 +130,13 @@ def test_diff_quotient_rejects_y():
 def test_diff_quotient_is_linear_and_leibniz():
     # D(p*q) = D(p) q(y) + p(x) D(q), checkable by expansion.
     rng = random.Random(23)
-    swap = (1, 0)
     for _ in range(30):
         p = Polynomial({(rng.randrange(12), 0): rng.randint(-9, 9) or 1 for _ in range(4)})
         q = Polynomial({(rng.randrange(12), 0): rng.randint(-9, 9) or 1 for _ in range(4)})
+        q_of_y = Polynomial({(0, i): c for (i, _), c in q.terms.items()})
         assert diff_quotient(p + q) == diff_quotient(p) + diff_quotient(q)
         lhs = diff_quotient(p * q)
-        rhs = diff_quotient(p) * q.permute_vars(swap) + p * diff_quotient(q)
+        rhs = diff_quotient(p) * q_of_y + p * diff_quotient(q)
         assert lhs == rhs
 
 
@@ -167,11 +166,56 @@ def test_format_examples():
     ("z", 0),
     ("x^", 2),
     ("x ^ -2", 4),
+    ("3*", 2),
+    ("x^2*", 4),
+    ("2 * ", 4),
+    ("x^\u00b2", 2),
+    ("   ", 3),
+    ("x^2^3", 3),
+    ("3 * z", 4),
+    ("x*3", 2),
+    ("x y", 2),
 ])
 def test_parse_errors_carry_position(bad, pos):
     with pytest.raises(PolyParseError) as err:
         parse_poly(bad)
     assert err.value.position == pos
+
+
+# Characters the grammar uses, plus ones it refuses: an unknown variable, a
+# superscript digit (str.isdigit but not a decimal), an Arabic-Indic three
+# (a decimal digit that int() reads) and three kinds of whitespace.
+FUZZ_ALPHABET = ["x", "y", "^", "*", "+", "-", "0", "1", "2", "12", "z",
+                 "\u00b2", "\u0663", " ", "\t", "\n"]
+
+
+def test_parse_fuzz_accepts_or_reports_a_position():
+    rng = random.Random(1993)
+    accepted = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(14)))
+        try:
+            p = parse_poly(text)
+        except PolyParseError as err:
+            assert 0 <= err.position <= len(text), text
+            continue
+        assert isinstance(p, Polynomial)
+        assert parse_poly(format_poly(p)) == p, text
+        accepted += 1
+    assert accepted > 1000
+
+
+def test_parse_rejects_long_invalid_text_at_its_end():
+    # A ~200 kB text that fails only at its last character: the grammar's
+    # expression must reach the end without backtracking blow-up.
+    terms = format_poly(triangle(192)).split(" + ")
+    random.Random(192).shuffle(terms)
+    text = " + ".join(terms) + " +"
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text)
+    assert err.value.position == len(text)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_format_parse_round_trip_random():
