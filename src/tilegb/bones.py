@@ -78,14 +78,15 @@ def bone_system(n: int) -> BoneSystem:
     # g3 = t*b1 + C*b2 - C*b3 with C = sum of (n-1-i) x^i: telescoping
     # (x^k - 1) t = (1 + x + ... + x^(k-1)) (b3 - b2) summed over k < n.
     c = Polynomial({(i, 0): n - 1 - i for i in range(n - 1)})
-    cofactors = [
-        [one, zero, zero],
-        [zero, one, zero],
-        [t, c, -c],
-        [-one, -one, one],
-    ]
-    basis = GroebnerBasis([b1, b2, g3, g4], LEX, "nonneg",
-                        generators=[b1, b2, b3], cofactors=cofactors)
+    cofactors = (
+        (one, zero, zero),
+        (zero, one, zero),
+        (t, c, -c),
+        (-one, -one, one),
+    )
+    # Every caller shares this cached basis, so it is frozen and holds tuples.
+    basis = GroebnerBasis((b1, b2, g3, g4), LEX, "nonneg",
+                          generators=(b1, b2, b3), cofactors=cofactors)
     report = groebner.verify_strong_gb(basis)
     if not report.passed:
         raise RuntimeError(f"explicit basis failed verification for n={n}: {report.reason}")

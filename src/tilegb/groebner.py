@@ -13,6 +13,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 from .polyring import (CONVENTIONS, LEX, Mono, Polynomial, TermOrder,
                        coeff_divmod, format_poly, mono_div, mono_divides,
@@ -38,7 +39,7 @@ def _lcm(a: int, b: int) -> int:
     return abs(a * b) // xgcd(a, b)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroebnerBasis:
     """An ordered basis together with its term order and coefficient convention.
 
@@ -46,16 +47,19 @@ class GroebnerBasis:
     ``generators``: elements[i] == sum(cofactors[i][j] * generators[j]).
     ``verified`` records that strongness has been established (either by
     completion or by verify_strong_gb); ideal membership refuses to run
-    without it.
+    without it.  A basis is frozen: no attribute can be reassigned, and only
+    verify_strong_gb, once its proof is done, marks a basis verified.  Given
+    tuples, as ``bone_system`` gives for the basis it shares, the contents
+    cannot change either.
     """
 
-    elements: list[Polynomial]
+    elements: Sequence[Polynomial]
     order: TermOrder = LEX
     convention: str = "minabs"
-    generators: list[Polynomial] | None = None
-    cofactors: list[list[Polynomial]] | None = None
+    generators: Sequence[Polynomial] | None = None
+    cofactors: Sequence[Sequence[Polynomial]] | None = None
     verified: bool = False
-    _lts: list[tuple[Mono, int]] = field(init=False, repr=False)
+    _lts: tuple[tuple[Mono, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -64,7 +68,8 @@ class GroebnerBasis:
             raise ValueError("zero polynomial in basis")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown coefficient convention {self.convention!r}")
-        self._lts = [g.leading_term(self.order) for g in self.elements]
+        object.__setattr__(self, "_lts",
+                           tuple(g.leading_term(self.order) for g in self.elements))
 
     @property
     def nvars(self) -> int:
@@ -128,8 +133,8 @@ def _slot_width(fterms: dict[Mono, int], elements: list[Polynomial],
     return max(top, total).bit_length() or 1
 
 
-def _reduce_raw(fterms: dict[Mono, int], nvars: int, elements: list[Polynomial],
-                lts: list[tuple[Mono, int]], order: TermOrder,
+def _reduce_raw(fterms: dict[Mono, int], nvars: int, elements: Sequence[Polynomial],
+                lts: Sequence[tuple[Mono, int]], order: TermOrder,
                 conv: str) -> tuple[list[dict[Mono, int]], dict[Mono, int]]:
     """Core division loop on raw term maps.
 
@@ -440,7 +445,7 @@ def verify_strong_gb(G: GroebnerBasis) -> VerifyReport:
             if not rem.is_zero():
                 return VerifyReport(False, "S-polynomial does not reduce to zero",
                                     (i, j), rem)
-    G.verified = True
+    object.__setattr__(G, "verified", True)  # proved above; the basis is frozen
     return VerifyReport(True)
 
 

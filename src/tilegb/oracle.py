@@ -3,7 +3,8 @@
 Independent of the Groebner route: a signed tiling restricted to a box is an
 integer solution of A z = t, where columns of A are indicators of prototile
 placements inside the box and t is the region indicator.  Solved exactly by
-Hermite-style column elimination with the combination recorded.  A failure
+Hermite-style column elimination; the column combinations are logged as
+steps and back-substituted into z only when a solution exists.  A failure
 only rules out tilings confined to the box, so it is reported as
 ``no_solution_in_box`` rather than a definitive no.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlin import PROV_BASE, echelon_insert, lattice_express
+from .intlin import Combinations, echelon_insert, lattice_express
 from .tiling import Certificate, Placement, Region, verify_certificate
 
 
@@ -47,8 +48,9 @@ def _solve_rows(rows: list[dict[int, int]], ncols: int, t: list[int]) -> list[in
     """Some integer solution z (length ``ncols``) of the sparse-row system
     rows z = t, or None when none exists.
 
-    Columns are inserted into an echelon lattice with the unimodular
-    combination tracked; t is then expressed over the lattice.
+    Columns are inserted into an echelon lattice with their combinations
+    logged as steps; t is then expressed over the lattice, and z is built
+    from the log only when it is.
     """
     columns: list[dict[int, int]] = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -57,10 +59,10 @@ def _solve_rows(rows: list[dict[int, int]], ncols: int, t: list[int]) -> list[in
     # Insert sparsest-leading first: distinct leading rows insert without work.
     order = sorted(range(ncols), key=lambda c: (min(columns[c], default=len(rows)), c))
     pivots: dict[int, dict[int, int]] = {}
+    combos = Combinations()
     for c in order:
-        columns[c][PROV_BASE + c] = 1
-        echelon_insert(pivots, columns[c])
-    combo = lattice_express(pivots, {i: v for i, v in enumerate(t) if v})
+        echelon_insert(pivots, columns[c], combos, [(1, ~c)])
+    combo = lattice_express(pivots, combos, {i: v for i, v in enumerate(t) if v})
     if combo is None:
         return None
     z = [0] * ncols

@@ -263,6 +263,23 @@ def _display_key(item: tuple[Mono, int]) -> tuple[int, tuple[int, ...]]:
     return (sum(mono), tuple(-e for e in mono))
 
 
+# 10^500: chunks of 500 digits stay below the smallest int/str conversion
+# limit CPython allows (640 digits), whatever the process has set.
+_CHUNK = 10 ** 500
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of n >= 0, converted in 500-digit chunks when long, so
+    integers past the interpreter's int/str digit limit still print."""
+    if n < _CHUNK:
+        return str(n)
+    chunks = []
+    while n:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(r)
+    return str(chunks.pop()) + "".join(f"{r:0500d}" for r in reversed(chunks))
+
+
 def format_poly(p: Polynomial) -> str:
     """Canonical text form, e.g. "x^2 + x*y + y^2" or "-1 - x - y"."""
     if p.is_zero():
@@ -274,14 +291,14 @@ def format_poly(p: Polynomial) -> str:
             if e == 1:
                 factors.append(VAR_NAMES[i])
             elif e > 1:
-                factors.append(f"{VAR_NAMES[i]}^{e}")
+                factors.append(f"{VAR_NAMES[i]}^{_decimal(e)}")
         mag = abs(coeff)
         if not factors:
-            body = str(mag)
+            body = _decimal(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = str(mag) + "*" + "*".join(factors)
+            body = _decimal(mag) + "*" + "*".join(factors)
         if not parts:
             parts.append(("-" if coeff < 0 else "") + body)
         else:
@@ -317,13 +334,18 @@ def parse_poly(text: str) -> Polynomial:
                                  else "incomplete polynomial", pos)
         coeff = -1 if m["sign"].endswith("-") else 1
         i = j = 0
-        for factor in "".join(m["term"].split()).split("*"):
-            if factor[0] == "x":
-                i += int(factor[2:] or 1)
-            elif factor[0] == "y":
-                j += int(factor[2:] or 1)
-            else:
-                coeff *= int(factor)
+        try:
+            for factor in "".join(m["term"].split()).split("*"):
+                if factor[0] == "x":
+                    i += int(factor[2:] or 1)
+                elif factor[0] == "y":
+                    j += int(factor[2:] or 1)
+                else:
+                    coeff *= int(factor)
+        except ValueError:  # an integer past the interpreter's int/str digit limit
+            term = m["term"]
+            raise PolyParseError("integer too long",
+                                 m.start("term") + len(term) - len(term.lstrip())) from None
         c = data.get((i, j), 0) + coeff
         if c:
             data[i, j] = c

@@ -6,7 +6,7 @@ from tilegb import groebner
 from tilegb.bones import (b3_poly, b3_remainder, bone_polynomials, bone_system,
                           decide_nbone, nbone_prototiles,
                           t_remainder_closed, triangle)
-from tilegb.groebner import buchberger, reduce
+from tilegb.groebner import buchberger, reduce, remainder
 from tilegb.polyring import Polynomial, coeff_divmod, format_poly, parse_poly
 
 
@@ -77,15 +77,36 @@ def test_cofactors_exact(n):
         assert acc == elem
 
 
+def test_shared_bone_basis_is_frozen():
+    # bone_system is cached, so every caller gets the same basis; no caller
+    # may change what a later bone_system(n) or remainder returns.
+    basis = bone_system(3).basis
+    before = remainder(triangle(10), basis)
+    with pytest.raises(AttributeError):
+        basis.verified = False
+    with pytest.raises(AttributeError):
+        basis.elements = [Polynomial.constant(1)]
+    with pytest.raises(AttributeError):
+        basis.elements.append(Polynomial.constant(1))
+    with pytest.raises(TypeError):
+        basis.elements[0] = Polynomial.constant(1)
+    with pytest.raises(TypeError):
+        basis.cofactors[0][0] = Polynomial.zero()
+    again = bone_system(3)
+    assert again.basis is basis and again.basis.verified
+    assert len(again.basis.elements) == 4
+    assert remainder(triangle(10), again.basis) == before == t_remainder_closed(10, 3)
+
+
 def test_cofactor_rows_shape():
     rows = bone_system(3).basis.cofactors
     one = Polynomial.constant(1)
     zero = Polynomial.zero()
-    assert rows[0] == [one, zero, zero]
-    assert rows[1] == [zero, one, zero]
-    assert rows[3] == [-one, -one, one]
+    assert rows[0] == (one, zero, zero)
+    assert rows[1] == (zero, one, zero)
+    assert rows[3] == (-one, -one, one)
     c = parse_poly("2 + x")
-    assert rows[2] == [parse_poly("1 + x + y"), c, -c]
+    assert rows[2] == (parse_poly("1 + x + y"), c, -c)
     b1, b2, b3 = bone_polynomials(3)
     assert b1 * parse_poly("1 + x + y") + c * b2 - c * b3 == parse_poly("3 + 3*x + 3*y")
 

@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, exit codes, file round trips."""
 
 import os
+import sys
 
 import pytest
 
@@ -116,6 +117,13 @@ def test_reduce_bad_poly_is_usage_error(capsys):
     assert run(["reduce", "--n", "3", "--basis", "b", "--poly", "1"])[0] == 2
     capsys.readouterr()
     assert run(["reduce", "--n", "3", "--poly", "3*"]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="interpreter has no int/str digit limit below 5,000")
+def test_reduce_integer_past_the_digit_limit_is_usage_error(capsys):
+    assert run(["reduce", "--n", "3", "--poly", "1" * 5000]) == (2, "")
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -379,7 +379,7 @@ def test_basis_serialization_round_trip():
     text = basis_to_text(basis)
     assert text.splitlines()[0] == "order=lex vars=x,y conv=nonneg"
     loaded = basis_from_text(text)
-    assert loaded.elements == basis.elements
+    assert loaded.elements == list(basis.elements)
     assert loaded.convention == "nonneg"
     assert not loaded.verified
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Box-search oracle: exact integer solving and concordance with the theory."""
 
 import random
+import time
 
 import pytest
 
 from tilegb.bones import decide_nbone, nbone_prototiles
+from tilegb.homology import _dense_snf
 from tilegb.oracle import hnf_solve, oracle_decide, placement_system
 from tilegb.tiling import verify_certificate
 
@@ -65,6 +67,36 @@ def test_hnf_solve_detects_unsolvable():
         assert z is None  # even matrix cannot hit odd targets
         found_unsolvable += 1
     assert found_unsolvable == 200
+
+
+def smith_shape(M):
+    """(rank, non-unit invariant factors) of M from the dense reference SNF."""
+    diag = [abs(d) for d in _dense_snf(M)]
+    return len(diag), [d for d in diag if d != 1]
+
+
+def test_hnf_solve_agrees_with_smith_form_of_augmented_matrix():
+    # A z = t has an integer solution exactly when A and [A | t] have the same
+    # rank and the same invariant factors; the dense SNF decides that without
+    # the echelon kernel.  Scaled matrices give unsolvable targets with even
+    # entries, which the odd-target test above cannot produce.
+    rng = random.Random(606)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        m, k = rng.randrange(1, 6), rng.randrange(1, 6)
+        scale = rng.choice([1, 1, 2, 3, 6])
+        A = [[scale * rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+        if rng.random() < 0.4:
+            t = matvec(A, [rng.randint(-3, 3) for _ in range(k)])
+        else:
+            t = [rng.randint(-9, 9) for _ in range(m)]
+        solvable = smith_shape(A) == smith_shape([row + [v] for row, v in zip(A, t)])
+        z = hnf_solve(A, t)
+        assert (z is not None) == solvable, (A, t)
+        if z is not None:
+            assert matvec(A, z) == t
+        outcomes[solvable] += 1
+    assert min(outcomes.values()) >= 60, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +213,16 @@ def test_oracle_certificate_has_one_placement_per_nonzero_entry():
     assert len(weights) == len(decision.certificate.placements)
     assert weights == {(p.tile, p.shift): z for z, p in zip(decision.solution,
                                                             system.placements) if z}
+
+
+def test_oracle_family_9_T3_margin_2_finishes():
+    # Family 9 of perfbench/pinned.json, a rotation-closed 4-cell polyhex
+    # set: its echelon grows integers of hundreds of thousands of bits, so
+    # any per-entry overhead in the solver multiplies.
+    tiles = [frozenset({(0, 0), (0, 1), (1, 1), (2, 0)}),
+             frozenset({(0, 0), (0, 2), (1, 0), (1, 1)}),
+             frozenset({(0, 1), (0, 2), (1, 0), (2, 0)})]
+    started = time.perf_counter()
+    decision = oracle_decide(tri_region(3), tiles, margin=2)
+    assert decision.status == "no_solution_in_box"
+    assert time.perf_counter() - started < 10

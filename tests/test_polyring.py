@@ -1,6 +1,7 @@
 """Polynomial ring: arithmetic, orders, coefficient division, parsing."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -216,6 +217,35 @@ def test_parse_rejects_long_invalid_text_at_its_end():
         parse_poly(text)
     assert err.value.position == len(text)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="interpreter has no int/str digit limit below 5,000")
+def test_parse_refuses_integers_past_the_digit_limit_with_a_position():
+    # CPython refuses int() on more than 4,300 digits by default; the parser
+    # must report that as a positioned syntax error, not a bare ValueError.
+    for text, pos in [("1" * 5000, 0), ("x + " + "1" * 5000, 4),
+                      ("-  " + "9" * 5000 + "*x", 3), ("y^" + "2" * 5000, 0)]:
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert err.value.position == pos
+
+
+def test_format_prints_integers_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert format_poly(Polynomial.constant(10 ** 5000)) == "1" + "0" * 5000
+    big = 7 ** 9000  # 7,606 digits
+    text = format_poly(Polynomial({(0, 0): -big, (2, 0): big}))
+    head, tail = text.split(" + ")
+    assert tail.endswith("*x^2") and tail[:-4] == head[1:]
+    value = 0
+    for i in range(0, len(head) - 1, 400):  # rebuild from chunks below any limit
+        chunk = head[1 + i:1 + i + 400]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert head[0] == "-" and value == big
+    assert format_poly(Polynomial({(10 ** 700, 0): 1})) == "x^1" + "0" * 700
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_format_parse_round_trip_random():
