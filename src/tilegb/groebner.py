@@ -9,6 +9,7 @@ some basis element; membership then reduces to a zero remainder.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,10 +34,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
-
-
-def _lcm(a: int, b: int) -> int:
-    return abs(a * b) // xgcd(a, b)[0]
 
 
 @dataclass(frozen=True)
@@ -247,16 +244,36 @@ def remainder(f: Polynomial, G: GroebnerBasis, convention: str | None = None) ->
     return reduce(f, G, convention).remainder
 
 
+def _pair(vg: Sequence[Polynomial], vh: Sequence[Polynomial], lt_g: tuple[Mono, int],
+          lt_h: tuple[Mono, int], gcd_pair: bool) -> list[Polynomial]:
+    """a x^ma vg + b x^mb vh, slot by slot, for vectors whose first slots have
+    leading terms lt_g and lt_h.
+
+    For the S-pair a = L / LT(g) and b = -L / LT(h) as terms, with
+    L = lcm(LC(g), LC(h)) * lcm(LM(g), LM(h)).  For the G-pair (gcd_pair)
+    a, b are the Bezout pair u LC(g) + v LC(h) = gcd(LC(g), LC(h)) and
+    x^ma, x^mb take both leading monomials to their lcm.
+    """
+    (gm, gc), (hm, hc) = lt_g, lt_h
+    if gcd_pair:
+        d, a, _ = xgcd(gc, hc)
+        # Pin u to the smallest-|u| Bezout solution (positive on ties).
+        a = coeff_divmod(a, hc // d, "minabs")[1]
+        b = (d - a * gc) // hc
+    else:
+        cl = math.lcm(gc, hc)
+        a, b = cl // gc, -(cl // hc)
+    ml = mono_lcm(gm, hm)
+    ma, mb = mono_div(ml, gm), mono_div(ml, hm)
+    return [p.mul_term(a, ma) + q.mul_term(b, mb) for p, q in zip(vg, vh)]
+
+
 def s_polynomial(g: Polynomial, h: Polynomial, order: TermOrder = LEX) -> Polynomial:
     """S(g, h) = (L / LT(g)) g - (L / LT(h)) h for
     L = lcm(LC(g), LC(h)) * lcm(LM(g), LM(h))."""
     if g.is_zero() or h.is_zero():
         raise ValueError("S-polynomial of the zero polynomial")
-    gm, gc = g.leading_term(order)
-    hm, hc = h.leading_term(order)
-    cl = _lcm(gc, hc)
-    ml = mono_lcm(gm, hm)
-    return g.mul_term(cl // gc, mono_div(ml, gm)) - h.mul_term(cl // hc, mono_div(ml, hm))
+    return _pair([g], [h], g.leading_term(order), h.leading_term(order), False)[0]
 
 
 def g_polynomial(g: Polynomial, h: Polynomial, order: TermOrder = LEX) -> Polynomial:
@@ -267,20 +284,22 @@ def g_polynomial(g: Polynomial, h: Polynomial, order: TermOrder = LEX) -> Polyno
     to realize coefficient gcds that no S-polynomial can reach."""
     if g.is_zero() or h.is_zero():
         raise ValueError("G-polynomial of the zero polynomial")
-    gm, gc = g.leading_term(order)
-    hm, hc = h.leading_term(order)
-    d, u, v = xgcd(gc, hc)
-    # Pin u to the smallest-|u| Bezout solution (positive on ties).
-    step = hc // d
-    u = coeff_divmod(u, step, "minabs")[1]
-    v = (d - u * gc) // hc
-    ml = mono_lcm(gm, hm)
-    return g.mul_term(u, mono_div(ml, gm)) + h.mul_term(v, mono_div(ml, hm))
+    return _pair([g], [h], g.leading_term(order), h.leading_term(order), True)[0]
 
 
-def _term_divides(lt1: tuple[Mono, int], lt2: tuple[Mono, int]) -> bool:
-    """Term divisibility: monomial divides and coefficient divides."""
-    return mono_divides(lt1[0], lt2[0]) and lt2[1] % lt1[1] == 0
+def _divide(vec: list[Polynomial], vecs: Sequence[list[Polynomial]],
+            lts: Sequence[tuple[Mono, int]], order: TermOrder,
+            conv: str) -> list[Polynomial]:
+    """Divide the first slot of vec by the first slots of vecs; each quotient
+    takes its multiple of that vector off the remaining slots too."""
+    nvars = vec[0].nvars
+    qs, rem = _reduce_raw(vec[0].terms, nvars, [v[0] for v in vecs], lts, order, conv)
+    row = vec[1:]
+    for q, v in zip(qs, vecs):
+        if q:
+            qp = Polynomial._make(q, nvars)
+            row = [rc - qp * vc for rc, vc in zip(row, v[1:])]
+    return [Polynomial._make(rem, nvars), *row]
 
 
 def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
@@ -293,120 +312,67 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
     divides the other.  Nonzero remainders are appended, their pairs queued.
     The final basis is sign-normalized, purged of term-redundant elements,
     tail-reduced and sorted by descending leading monomial.
+
+    Each element is carried as one vector: the polynomial, then its cofactor
+    row over the generators (empty unless track_cofactors).  Every step acts
+    on the whole vector, so the rows cannot drift from the elements.
     """
     if not generators:
         raise ValueError("empty generator list")
     if any(g.is_zero() for g in generators):
         raise ValueError("zero generator")
     nvars = generators[0].nvars
-    basis = list(generators)
-    lts = [g.leading_term(order) for g in basis]
-    rows: list[list[Polynomial]] | None = None
-    if track_cofactors:
-        rows = [[Polynomial.constant(1, nvars) if i == j else Polynomial.zero(nvars)
-                 for j in range(len(generators))] for i in range(len(generators))]
+    k = len(generators) if track_cofactors else 0
+    vecs = [[g, *(Polynomial.constant(int(i == j), nvars) for j in range(k))]
+            for i, g in enumerate(generators)]
+    lts = [g.leading_term(order) for g in generators]
 
-    def append(p: Polynomial, row: list[Polynomial] | None):
-        basis.append(p)
-        lts.append(p.leading_term(order))
-        if rows is not None:
-            rows.append(row)
-        t = len(basis) - 1
-        queue.extend((i, t) for i in range(t))
-
-    def reduce_tracked(p: Polynomial, row: list[Polynomial] | None):
-        qs, rem = _reduce_raw(p.terms, nvars, basis, lts, order, conv)
-        if rows is None:
-            return Polynomial._make(rem, nvars), None
-        for t, q in enumerate(qs):
-            if q:
-                qp = Polynomial._make(q, nvars)
-                row = [rc - qp * bc for rc, bc in zip(row, rows[t])]
-        return Polynomial._make(rem, nvars), row
-
-    queue: deque[tuple[int, int]] = deque((i, j) for j in range(len(basis)) for i in range(j))
+    queue: deque[tuple[int, int]] = deque((i, j) for j in range(len(vecs)) for i in range(j))
     while queue:
         i, j = queue.popleft()
         (mi, ci), (mj, cj) = lts[i], lts[j]
         coprime = all(min(a, b) == 0 for a, b in zip(mi, mj))
         one_divides = ci % cj == 0 or cj % ci == 0
-        if not (coprime and one_divides):
-            spoly = s_polynomial(basis[i], basis[j], order)
-            if spoly:
-                row = None
-                if rows is not None:
-                    cl = _lcm(ci, cj)
-                    ml = mono_lcm(mi, mj)
-                    ti = (cl // ci, mono_div(ml, mi))
-                    tj = (cl // cj, mono_div(ml, mj))
-                    row = [a.mul_term(*ti) - b.mul_term(*tj)
-                           for a, b in zip(rows[i], rows[j])]
-                rem, row = reduce_tracked(spoly, row)
-                if rem:
-                    append(rem, row)
-        if not one_divides:
-            gpoly = g_polynomial(basis[i], basis[j], order)
-            row = None
-            if rows is not None:
-                d, u, v = xgcd(ci, cj)
-                u = coeff_divmod(u, cj // d, "minabs")[1]
-                v = (d - u * ci) // cj
-                ml = mono_lcm(mi, mj)
-                row = [a.mul_term(u, mono_div(ml, mi)) + b.mul_term(v, mono_div(ml, mj))
-                       for a, b in zip(rows[i], rows[j])]
-            rem, row = reduce_tracked(gpoly, row)
-            if rem:
-                append(rem, row)
+        for gcd_pair, wanted in ((False, not (coprime and one_divides)),
+                                 (True, not one_divides)):
+            if not wanted:
+                continue
+            vec = _pair(vecs[i], vecs[j], lts[i], lts[j], gcd_pair)
+            if vec[0]:
+                vec = _divide(vec, vecs, lts, order, conv)
+            if vec[0]:
+                vecs.append(vec)
+                lts.append(vec[0].leading_term(order))
+                queue.extend((s, len(vecs) - 1) for s in range(len(vecs) - 1))
 
     # Sign-normalize so leading coefficients are positive.
-    for t in range(len(basis)):
-        if lts[t][1] < 0:
-            basis[t] = -basis[t]
-            lts[t] = (lts[t][0], -lts[t][1])
-            if rows is not None:
-                rows[t] = [-c for c in rows[t]]
+    for t, (m, c) in enumerate(lts):
+        if c < 0:
+            vecs[t] = [-p for p in vecs[t]]
+            lts[t] = (m, -c)
 
     # Drop elements whose leading term is term-divisible by another's.
-    keep: list[int] = []
-    for t in range(len(basis)):
-        redundant = False
-        for s in range(len(basis)):
-            if s == t:
-                continue
-            if _term_divides(lts[s], lts[t]) and (lts[s] != lts[t] or s < t):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(t)
+    keep = [t for t, (mt, ct) in enumerate(lts)
+            if not any(mono_divides(ms, mt) and ct % cs == 0 and ((ms, cs) != lts[t] or s < t)
+                       for s, (ms, cs) in enumerate(lts) if s != t)]
     keep.sort(key=lambda t: order.key(lts[t][0]), reverse=True)
-    basis = [basis[t] for t in keep]
+    vecs = [vecs[t] for t in keep]
     lts = [lts[t] for t in keep]
-    if rows is not None:
-        rows = [rows[t] for t in keep]
 
     # Tail-reduce each element by the others; leading terms are untouched, so
     # strongness is preserved and the output is stable.
-    for t in range(len(basis)):
-        others = basis[:t] + basis[t + 1:]
-        olts = lts[:t] + lts[t + 1:]
-        gm, gc = lts[t]
-        tail = dict(basis[t].terms)
+    for t, (gm, gc) in enumerate(lts):
+        tail = dict(vecs[t][0].terms)
         del tail[gm]
-        qs, rem = _reduce_raw(tail, nvars, others, olts, order, conv)
-        rem[gm] = gc
-        basis[t] = Polynomial._make(rem, nvars)
-        if rows is not None:
-            orows = rows[:t] + rows[t + 1:]
-            row = rows[t]
-            for s, q in enumerate(qs):
-                if q:
-                    qp = Polynomial._make(q, nvars)
-                    row = [rc - qp * oc for rc, oc in zip(row, orows[s])]
-            rows[t] = row
+        vec = _divide([Polynomial._make(tail, nvars), *vecs[t][1:]],
+                      vecs[:t] + vecs[t + 1:], lts[:t] + lts[t + 1:], order, conv)
+        vec[0] = Polynomial._make({**vec[0].terms, gm: gc}, nvars)
+        vecs[t] = vec
 
-    return GroebnerBasis(basis, order, conv,
+    return GroebnerBasis([v[0] for v in vecs], order, conv,
                          generators=list(generators) if track_cofactors else None,
-                         cofactors=rows, verified=True)
+                         cofactors=[v[1:] for v in vecs] if track_cofactors else None,
+                         verified=True)
 
 
 @dataclass

@@ -8,6 +8,7 @@ of Z[x, y]/I under multiplication maps.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .intlin import axpy, echelon_insert
@@ -119,8 +120,8 @@ def _dense_snf(M: list[list[int]]) -> list[int]:
 
 def _sparse_invariants(rows) -> tuple[list[int], int]:
     """Invariant factors (including trivial 1s) and rank from sparse relation
-    rows: echelonize, clear pivot columns left to right, peel off unit pivots,
-    finish the small remaining core densely."""
+    rows: echelonize, peel off unit pivots, clear the pivot columns of the
+    remaining core rows and finish that small core densely."""
     pivots: dict[int, dict[int, int]] = {}
     for vec in rows:
         echelon_insert(pivots, dict(vec))
@@ -129,20 +130,31 @@ def _sparse_invariants(rows) -> tuple[list[int], int]:
     for j in cols:
         if pivots[j][j] < 0:
             pivots[j] = {k: -v for k, v in pivots[j].items()}
-    for j in cols:
-        piv = pivots[j]
-        p = piv[j]
-        for j2 in cols:
-            if j2 == j:
-                continue
-            other = pivots[j2]
-            v = other.get(j, 0)
-            if v:
-                axpy(other, -(v // p), piv)
-    unit_cols = {j for j in cols if pivots[j][j] == 1}
-    core_rows = [pivots[j] for j in cols if j not in unit_cols]
-    if not core_rows:
+    core = [j for j in cols if pivots[j][j] != 1]
+    if not core:
         return [1] * rank, rank
+    # Reduce each core row's entries in later pivot columns, walking the
+    # row's own entries in ascending column order.  A reducing row has a
+    # later pivot, so this pass has not changed it yet; a step adds entries
+    # only past the column it reduces, and they join the walk.  Unit pivot
+    # rows are peeled off as they stand.
+    core_rows = []
+    for j2 in core:
+        row = pivots[j2]
+        todo = [c for c in row if c > j2]
+        heapq.heapify(todo)
+        while todo:
+            j = heapq.heappop(todo)
+            piv = pivots.get(j)
+            if piv is None or j not in row:
+                continue
+            q = row[j] // piv[j]
+            if q:
+                for c in piv:
+                    if c not in row:
+                        heapq.heappush(todo, c)
+                axpy(row, -q, piv)
+        core_rows.append(row)
     core_cols = sorted({c for r in core_rows for c in r})
     index = {c: k for k, c in enumerate(core_cols)}
     dense = [[0] * len(core_cols) for _ in core_rows]
@@ -150,7 +162,7 @@ def _sparse_invariants(rows) -> tuple[list[int], int]:
         for c, v in vec.items():
             r[index[c]] = v
     factors = _dense_snf(dense)
-    return [1] * len(unit_cols) + factors, rank
+    return [1] * (rank - len(core)) + factors, rank
 
 
 def snf(M: list[list[int]]) -> tuple[list[int], int]:

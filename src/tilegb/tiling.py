@@ -274,9 +274,14 @@ def parse_certificate_text(text: str) -> tuple[int, str, list[Placement]]:
 
 HEX_SIZE = 20.0
 SQRT3 = math.sqrt(3.0)
+# Larger coordinates would overflow floats (about 1.8e308) in the drawing.
+MAX_DRAW_COORD = 10 ** 300
 
 
 def _hex_center(i: int, j: int) -> tuple[float, float]:
+    for v in (i, j):
+        if abs(v) > MAX_DRAW_COORD:
+            raise ValueError(f"cell coordinate {v} is too large to draw (limit 10^300)")
     return HEX_SIZE * (i + j / 2.0), HEX_SIZE * j * SQRT3 / 2.0
 
 

@@ -251,6 +251,23 @@ def test_render_region_text_and_svg(tmp_path):
     assert open(svg_path, "rb").read() == first
 
 
+@pytest.mark.parametrize("source", ["region", "certificate"])
+def test_render_svg_refuses_coordinate_too_large_to_draw(tmp_path, capsys, source):
+    far = 10 ** 399 + 7  # 400 digits: no float holds it
+    if source == "region":
+        argv = ["--region", region_file(tmp_path, "far.region", [(0, 0), (1, far)])]
+    else:
+        cert = tmp_path / "far.cert"
+        near = region_file(tmp_path, "t2.region", tri(2))
+        cert.write_text(f"tiles=3 region={near}\n+ 0 {far} 0\n")
+        argv = ["--certificate", str(cert), "--n", "3"]
+    capsys.readouterr()
+    out = str(tmp_path / "far.svg")
+    assert run(["render", *argv, "--format", "svg", "--out", out]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: cell coordinate 1000")
+    assert not os.path.exists(out)
+
+
 def test_render_certificate_text(tmp_path):
     cert_path = str(tmp_path / "c32.cert")
     run(["certificate", "--n", "2", "--m", "3", "--out", cert_path])

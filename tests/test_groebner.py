@@ -10,7 +10,7 @@ from tilegb.bones import b3_poly, bone_polynomials, bone_system, triangle
 from tilegb.groebner import (GroebnerBasis, basis_from_text, basis_to_text,
                              buchberger, g_polynomial, ideal_member, reduce,
                              remainder, s_polynomial, verify_strong_gb, xgcd)
-from tilegb.polyring import (LEX, Polynomial, diff_quotient, format_poly,
+from tilegb.polyring import (CONVENTIONS, LEX, Polynomial, diff_quotient, format_poly,
                              parse_poly)
 
 
@@ -288,14 +288,17 @@ def test_buchberger_random_inputs_verify():
         if not gens:
             continue
         count += 1
-        basis = buchberger(gens, track_cofactors=True)
-        fresh = GroebnerBasis(list(basis.elements), basis.order, basis.convention)
-        assert verify_strong_gb(fresh).passed
-        for elem, row in zip(basis.elements, basis.cofactors):
-            assert expand(row, basis.generators, Polynomial.zero()) == elem
-        # generators lie in the ideal of the output
-        for g in gens:
-            assert reduce(g, basis).remainder.is_zero()
+        for conv in CONVENTIONS:
+            basis = buchberger(gens, conv=conv, track_cofactors=True)
+            # Tracking cofactors changes nothing about the elements.
+            assert buchberger(gens, conv=conv).elements == basis.elements
+            fresh = GroebnerBasis(list(basis.elements), basis.order, basis.convention)
+            assert verify_strong_gb(fresh).passed
+            for elem, row in zip(basis.elements, basis.cofactors):
+                assert expand(row, basis.generators, Polynomial.zero()) == elem
+            # generators lie in the ideal of the output
+            for g in gens:
+                assert reduce(g, basis).remainder.is_zero()
 
 
 # ---------------------------------------------------------------------------
