@@ -42,30 +42,6 @@ def rational_form_T(m: int) -> RationalForm:
     ])
 
 
-def form_denotes(form: RationalForm, p: Polynomial) -> bool:
-    """Exact check that the form sums to the polynomial p, by clearing all
-    denominators: sum_i num_i * prod_{j != i} den_j == p * prod_j den_j."""
-    dens = []
-    for _, factors in form.terms:
-        d = Polynomial.constant(1)
-        for f in factors:
-            if f.is_zero():
-                raise ValueError("zero denominator factor")
-            d = d * f
-        dens.append(d)
-    total = Polynomial.constant(1)
-    for d in dens:
-        total = total * d
-    lhs = Polynomial.zero()
-    for i, (num, _) in enumerate(form.terms):
-        part = num
-        for j, d in enumerate(dens):
-            if j != i:
-                part = part * d
-        lhs = lhs + part
-    return lhs == p * total
-
-
 def verify_brion(m: int) -> bool:
     """Check T(m) * (1-x)(1-y)(x-y) == (x-y) - x^(m+1)(1-y) + y^(m+1)(1-x),
     the cleared-denominator statement of the corner expansion."""

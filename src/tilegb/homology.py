@@ -4,11 +4,16 @@ by Smith normal form, with a stabilization scan and the n-bone closed form.
 The group of a prototile set is the cokernel of all tile translates fully
 supported in a box [0, D)^2, i.e. the box approximation of the direct limit
 of Z[x, y]/I under multiplication maps.
+
+The Smith form runs on sparse rows with the echelon kernel of ``intlin``:
+row and column Hermite eliminations alternate (the second on the transposed
+core) until the core is diagonal, so no dense matrix is built.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .intlin import axpy, echelon_insert
@@ -44,103 +49,28 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _dense_snf(M: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form (nonzero entries, chained); standard
-    elimination with smallest-pivot selection, exact integer arithmetic."""
-    M = [list(row) for row in M]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while True:
-        best = None
-        for i in range(t, m):
-            row = M[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        M[t], M[bi] = M[bi], M[t]
-        if bj != t:
-            for row in M:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            if M[t][t] < 0:
-                M[t] = [-v for v in M[t]]
-            p = M[t][t]
-            moved = False
-            for i in range(m):
-                if i == t or not M[i][t]:
-                    continue
-                q = M[i][t] // p
-                if q:
-                    Mt = M[t]
-                    M[i] = [a - q * b for a, b in zip(M[i], Mt)]
-                if M[i][t]:  # p did not divide: smaller residue becomes pivot
-                    M[t], M[i] = M[i], M[t]
-                    moved = True
-                    break
-            if moved:
-                continue
-            for j in range(n):
-                if j == t or not M[t][j]:
-                    continue
-                q = M[t][j] // p
-                if q:
-                    for row in M:
-                        row[j] -= q * row[t]
-                if M[t][j]:
-                    for row in M:
-                        row[t], row[j] = row[j], row[t]
-                    moved = True
-                    break
-            if moved:
-                continue
-            # Row and column are clear; enforce that p divides the rest.
-            offender = None
-            for i in range(t + 1, m):
-                row = M[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            Mo = M[offender]
-            M[t] = [a + b for a, b in zip(M[t], Mo)]
-        diag.append(M[t][t])
-        t += 1
-    return diag
-
-
-def _sparse_invariants(rows) -> tuple[list[int], int]:
-    """Invariant factors (including trivial 1s) and rank from sparse relation
-    rows: echelonize, peel off unit pivots, clear the pivot columns of the
-    remaining core rows and finish that small core densely."""
+def _echelon_core(rows) -> tuple[int, list[dict[int, int]]]:
+    """Rank and non-unit core of sparse rows: echelonize, peel off unit
+    pivots and reduce the remaining core rows against the later pivots.
+    The core rows come in ascending pivot order, each with a positive pivot
+    and no entry in a unit pivot column."""
     pivots: dict[int, dict[int, int]] = {}
     for vec in rows:
         echelon_insert(pivots, dict(vec))
-    rank = len(pivots)
     cols = sorted(pivots)
     for j in cols:
         if pivots[j][j] < 0:
             pivots[j] = {k: -v for k, v in pivots[j].items()}
-    core = [j for j in cols if pivots[j][j] != 1]
-    if not core:
-        return [1] * rank, rank
     # Reduce each core row's entries in later pivot columns, walking the
     # row's own entries in ascending column order.  A reducing row has a
     # later pivot, so this pass has not changed it yet; a step adds entries
     # only past the column it reduces, and they join the walk.  Unit pivot
     # rows are peeled off as they stand.
     core_rows = []
-    for j2 in core:
+    for j2 in cols:
         row = pivots[j2]
+        if row[j2] == 1:
+            continue
         todo = [c for c in row if c > j2]
         heapq.heapify(todo)
         while todo:
@@ -155,14 +85,28 @@ def _sparse_invariants(rows) -> tuple[list[int], int]:
                         heapq.heappush(todo, c)
                 axpy(row, -q, piv)
         core_rows.append(row)
-    core_cols = sorted({c for r in core_rows for c in r})
-    index = {c: k for k, c in enumerate(core_cols)}
-    dense = [[0] * len(core_cols) for _ in core_rows]
-    for r, vec in zip(dense, core_rows):
-        for c, v in vec.items():
-            r[index[c]] = v
-    factors = _dense_snf(dense)
-    return [1] * (rank - len(core)) + factors, rank
+    return len(pivots), core_rows
+
+
+def _sparse_invariants(rows) -> tuple[list[int], int]:
+    """Invariant factors (including trivial 1s) and rank from sparse relation
+    rows: take the echelon core, then run the same pass on the transposed
+    core until each core row is its pivot alone, and chain that diagonal."""
+    rank, core = _echelon_core(rows)
+    # Ends: each round's first pivot is the gcd of the previous first core
+    # row, so it divides the previous first pivot.  When they are equal, that
+    # row and column are cleared (the pivot's own column, inserted first,
+    # holds it alone) and stay so; the rounds go on with the rest, and peeled
+    # units only shrink the core.
+    while any(len(row) > 1 for row in core):
+        cols = sorted({c for row in core for c in row})
+        _, core = _echelon_core([{i: row[c] for i, row in enumerate(core) if c in row}
+                                 for c in cols])
+    diag = [row[j] for row in core for j in row]
+    for i in range(len(diag)):
+        for k in range(i + 1, len(diag)):
+            diag[i], diag[k] = math.gcd(diag[i], diag[k]), math.lcm(diag[i], diag[k])
+    return [1] * (rank - len(diag)) + diag, rank
 
 
 def snf(M: list[list[int]]) -> tuple[list[int], int]:
@@ -181,6 +125,8 @@ def box_presentation(prototiles: list[Region], box_side: int) -> list[dict[int, 
     relation rows over the D^2 cell generators (cell (p, q) -> p*D + q)."""
     if not prototiles:
         raise ValueError("empty prototile list")
+    if any(not t for t in prototiles):
+        raise ValueError("empty prototile")
     d = box_side
     relations: list[dict[int, int]] = []
     for tile in prototiles:

@@ -1,5 +1,7 @@
 """Shared test utilities."""
 
+import itertools
+import math
 import random
 
 from tilegb.polyring import Polynomial
@@ -25,3 +27,23 @@ def random_univariate(rng: random.Random, max_degree: int, coeff_bound: int = 30
             if c:
                 terms[(m, 0)] = c
     return Polynomial(terms)
+
+
+def brute_minor_gcd(M, k):
+    """gcd of all k x k minors, determinants by cofactor expansion."""
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return M[rows[0]][cols[0]]
+        total = 0
+        for idx, c in enumerate(cols):
+            sub = det(rows[1:], cols[:idx] + cols[idx + 1:])
+            total += (-1) ** idx * M[rows[0]][c] * sub
+        return total
+
+    g = 0
+    m, n = len(M), len(M[0])
+    for rows in itertools.combinations(range(m), k):
+        for cols in itertools.combinations(range(n), k):
+            g = math.gcd(g, det(list(rows), list(cols)))
+    return g

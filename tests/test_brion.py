@@ -1,10 +1,32 @@
 """Rational corner forms of triangle transforms."""
 
+from fractions import Fraction
+
 import pytest
 
 from tilegb.bones import triangle
-from tilegb.brion import form_denotes, rational_form_T, verify_brion
+from tilegb.brion import rational_form_T, verify_brion
 from tilegb.polyring import Polynomial, format_poly, parse_poly
+
+# Points off the poles of the corner expansion: x != 1, y != 1, x != y.
+POINTS = [(Fraction(2), Fraction(3)), (Fraction(-1), Fraction(1, 2)),
+          (Fraction(1, 3), Fraction(-2)), (Fraction(-5, 7), Fraction(3, 4))]
+
+
+def at(p, x, y):
+    """Exact value of the polynomial p at (x, y)."""
+    return sum(c * x ** a * y ** b for (a, b), c in p.terms.items())
+
+
+def form_at(form, x, y):
+    """Exact value of the rational form at (x, y), term by term."""
+    total = Fraction(0)
+    for num, factors in form.terms:
+        value = Fraction(at(num, x, y))
+        for f in factors:
+            value /= at(f, x, y)
+        total += value
+    return total
 
 
 def test_form_structure():
@@ -17,14 +39,16 @@ def test_form_structure():
 
 
 def test_form_denotes_zero_and_one():
-    assert form_denotes(rational_form_T(0), Polynomial.zero())
-    assert form_denotes(rational_form_T(1), Polynomial.constant(1))
-    assert not form_denotes(rational_form_T(2), Polynomial.constant(1))
+    for x, y in POINTS:
+        assert form_at(rational_form_T(0), x, y) == 0
+        assert form_at(rational_form_T(1), x, y) == 1
+        assert form_at(rational_form_T(2), x, y) != 1  # T(2) = 1 + x + y
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 12, 25])
 def test_form_denotes_triangle(m):
-    assert form_denotes(rational_form_T(m), triangle(m))
+    for x, y in POINTS:
+        assert form_at(rational_form_T(m), x, y) == at(triangle(m), x, y)
 
 
 def test_verify_brion_range():

@@ -1,34 +1,14 @@
 """Smith normal form and tile homology groups."""
 
-import itertools
+import math
 import random
 
 import pytest
 
+from helpers import brute_minor_gcd
 from tilegb.bones import bone_system, nbone_prototiles
 from tilegb.homology import (AbelianGroup, box_group, box_presentation,
                              nbone_homology, snf, stabilized_group)
-
-
-def brute_minor_gcd(M, k):
-    """gcd of all k x k minors, determinants by cofactor expansion."""
-    import math
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return M[rows[0]][cols[0]]
-        total = 0
-        for idx, c in enumerate(cols):
-            sub = det(rows[1:], cols[:idx] + cols[idx + 1:])
-            total += (-1) ** idx * M[rows[0]][c] * sub
-        return total
-
-    g = 0
-    m, n = len(M), len(M[0])
-    for rows in itertools.combinations(range(m), k):
-        for cols in itertools.combinations(range(n), k):
-            g = math.gcd(g, det(list(rows), list(cols)))
-    return g
 
 
 @pytest.mark.parametrize("M,factors,rank", [
@@ -39,6 +19,8 @@ def brute_minor_gcd(M, k):
     ([[4]], [4], 1),
     ([[2, 3]], [1], 1),
     ([[6, 0], [0, 10]], [2, 30], 2),
+    ([[2, 1], [0, 2]], [1, 4], 2),
+    ([[4, 6]], [2], 1),
 ])
 def test_snf_examples(M, factors, rank):
     assert snf(M) == (factors, rank)
@@ -59,6 +41,20 @@ def test_snf_divisibility_and_minor_gcds():
         for k, d in enumerate(factors, 1):
             prod *= d
             assert prod == brute_minor_gcd(M, k), (M, factors)
+
+
+def test_snf_scaled_matrices_match_minor_gcds():
+    # Scaling keeps every pivot non-unit, so the cores have several rows and
+    # are finished on their transposes.
+    rng = random.Random(14)
+    for _ in range(40):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        scale = rng.choice([2, 3, 6])
+        M = [[scale * rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        factors, rank = snf(M)
+        for k in range(1, min(m, n) + 1):
+            expected = math.prod(factors[:k]) if k <= rank else 0
+            assert brute_minor_gcd(M, k) == expected, (M, factors)
 
 
 def test_snf_invariant_under_permutations():
@@ -122,6 +118,13 @@ def test_box_group_single_cell():
 def test_box_group_rejects_small_box():
     with pytest.raises(ValueError):
         box_group(nbone_prototiles(3), 2)
+
+
+def test_box_group_rejects_empty_prototile():
+    with pytest.raises(ValueError, match="empty prototile"):
+        box_group([frozenset()], 3)
+    with pytest.raises(ValueError, match="empty prototile"):
+        box_group([frozenset({(0, 0), (1, 0)}), frozenset()], 3)
 
 
 @pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (3, 6), (3, 7)])
