@@ -11,8 +11,8 @@ from .bones import (BoneSystem, b3_remainder, bone_polynomials, bone_system,
 from .tiling import (Certificate, Placement, TilingDecision, certificate_nbone,
                      decide_signed_tiling, newton_polynomial, normalize_region,
                      render, verify_certificate)
-from .homology import (AbelianGroup, box_group, nbone_homology, snf,
-                       stabilized_group)
+from .homology import (AbelianGroup, basis_group, box_group, nbone_homology,
+                       snf, stabilized_group)
 from .brion import rational_form_T, verify_brion
 from .oracle import OracleDecision, hnf_solve, oracle_decide
 
@@ -27,7 +27,8 @@ __all__ = [
     "Certificate", "Placement", "TilingDecision", "certificate_nbone",
     "decide_signed_tiling", "newton_polynomial", "normalize_region", "render",
     "verify_certificate",
-    "AbelianGroup", "box_group", "nbone_homology", "snf", "stabilized_group",
+    "AbelianGroup", "basis_group", "box_group", "nbone_homology", "snf",
+    "stabilized_group",
     "rational_form_T", "verify_brion",
     "OracleDecision", "hnf_solve", "oracle_decide",
 ]

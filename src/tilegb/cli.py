@@ -221,6 +221,9 @@ def _cmd_homology(args, out: list[str]) -> int:
     if args.box is not None:
         group = homology.box_group(prototiles, args.box)
     else:
+        group = homology.basis_group(prototiles)
+    if group is None:
+        # Not tame: no basis route, so scan box groups instead.
         size = 1 + max(tiling.tile_extent(t) for t in prototiles)
         start = 3 * size
         group, stabilized = homology.stabilized_group(prototiles, start, start + 2)

@@ -1,9 +1,12 @@
-"""Tile homology groups: abelian-group presentations on finite boxes reduced
-by Smith normal form, with a stabilization scan and the n-bone closed form.
+"""Tile homology groups: H = Z[x, 1/x, y, 1/y]/I for the ideal I of the
+prototiles' Newton polynomials, as abelian groups reduced by Smith normal form.
 
-The group of a prototile set is the cokernel of all tile translates fully
-supported in a box [0, D)^2, i.e. the box approximation of the direct limit
-of Z[x, y]/I under multiplication maps.
+For a tame prototile set (x^a and y^b are 1 modulo I for some a, b >= 1),
+``basis_group`` reads H off a strong Groebner basis of I.  Otherwise H is
+approximated by box groups: the cokernel of all tile translates fully
+supported in a box [0, D)^2, with a stabilization scan over D.  Box groups
+can differ from H (a finite box can add boundary classes), so they are a
+fallback.  ``nbone_homology`` is the n-bone closed form.
 
 The Smith form runs on sparse rows with the echelon kernel of ``intlin``:
 row and column Hermite eliminations alternate (the second on the transposed
@@ -16,7 +19,9 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from .groebner import buchberger, remainder
 from .intlin import axpy, echelon_insert
+from .polyring import Polynomial, mono_div, mono_divides
 from .tiling import Region, newton_polynomial, normalize_region
 
 
@@ -120,6 +125,54 @@ def snf(M: list[list[int]]) -> tuple[list[int], int]:
     return _sparse_invariants(rows)
 
 
+def _cokernel(rows, ngens: int) -> AbelianGroup:
+    """Z^ngens modulo the span of the sparse relation rows."""
+    factors, rank = _sparse_invariants(rows)
+    return AbelianGroup(ngens - rank, tuple(f for f in factors if f != 1))
+
+
+def basis_group(prototiles: list[Region]) -> AbelianGroup | None:
+    """Tile homology group of a tame prototile set from a strong basis G of I,
+    or None when some variable has no period modulo I.
+
+    With periods a and b, x and y are units modulo I, so H is Z[x, y]/I, and
+    every monomial outside [0, a) x [0, b) is divisible by a monic leading
+    monomial.  The generators are the monomials M that no monic leading
+    monomial divides.  Each m in M that some leading monomial divides gets
+    the relation c*m + NF((m / LM g) * tail g), for the element g of least
+    leading coefficient c among those (c is their gcd, as G is strong).  The
+    relations are triangular, and every element of I written over M reduces
+    to zero by them, since its leading term is strongly reducible; so their
+    cokernel is H.
+    """
+    if not prototiles:
+        raise ValueError("empty prototile list")
+    if any(not t for t in prototiles):
+        raise ValueError("empty prototile")
+    G = buchberger([newton_polynomial(normalize_region(t)[0]) for t in prototiles])
+    a, b = G.periods
+    if a is None or b is None:
+        return None
+    lts = G.leading_terms()
+    units = [m for m, c in lts if c == 1]
+    # Columns in descending term order, so each relation's pivot is its m.
+    gens = sorted(((i, j) for i in range(a) for j in range(b)
+                   if not any(mono_divides(u, (i, j)) for u in units)),
+                  key=G.order.key, reverse=True)
+    col = {m: k for k, m in enumerate(gens)}
+    rows = []
+    for m in gens:
+        divisors = [(c, g, lm) for g, (lm, c) in zip(G.elements, lts) if mono_divides(lm, m)]
+        if not divisors:
+            continue
+        c, g, lm = min(divisors, key=lambda t: t[0])
+        tail = (g - Polynomial({lm: c})).mul_term(1, mono_div(m, lm))
+        row = {col[t]: v for t, v in remainder(tail, G).terms.items()}
+        row[col[m]] = c
+        rows.append(row)
+    return _cokernel(rows, len(gens))
+
+
 def box_presentation(prototiles: list[Region], box_side: int) -> list[dict[int, int]]:
     """All translates of each prototile fully supported in [0, D)^2, as sparse
     relation rows over the D^2 cell generators (cell (p, q) -> p*D + q)."""
@@ -146,9 +199,7 @@ def box_presentation(prototiles: list[Region], box_side: int) -> list[dict[int, 
 def box_group(prototiles: list[Region], box_side: int) -> AbelianGroup:
     """Cokernel of the box presentation: free rank = generators - rank and the
     invariant factors exceeding 1."""
-    factors, rank = _sparse_invariants(box_presentation(prototiles, box_side))
-    return AbelianGroup(box_side * box_side - rank,
-                        tuple(f for f in factors if f != 1))
+    return _cokernel(box_presentation(prototiles, box_side), box_side * box_side)
 
 
 def stabilized_group(prototiles: list[Region], d_start: int,

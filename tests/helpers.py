@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+from tilegb.homology import AbelianGroup, snf
 from tilegb.polyring import Polynomial
 
 
@@ -47,3 +48,19 @@ def brute_minor_gcd(M, k):
         for cols in itertools.combinations(range(n), k):
             g = math.gcd(g, det(list(rows), list(cols)))
     return g
+
+
+def torus_group(tiles, a, b):
+    """Z[Z_a x Z_b]/I as an abelian group: the Smith form of all translates of
+    each tile on the a x b torus, cell (i, j) -> column (i mod a) * b + j mod b.
+    It is the tile homology group when x^a and y^b are 1 modulo I."""
+    rows = []
+    for tile in tiles:
+        for s in range(a):
+            for t in range(b):
+                row = [0] * (a * b)
+                for i, j in tile:
+                    row[(i + s) % a * b + (j + t) % b] += 1
+                rows.append(row)
+    factors, rank = snf(rows)
+    return AbelianGroup(a * b - rank, tuple(f for f in factors if f != 1))

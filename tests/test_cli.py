@@ -2,6 +2,7 @@
 
 import os
 import sys
+import time
 
 import pytest
 
@@ -286,13 +287,35 @@ def test_homology_box_flag():
     assert run(["homology", "--n", "2", "--box", "4"]) == (0, "Z/2\n")
 
 
-def test_homology_unstable_scan_is_inconclusive(monkeypatch, capsys):
-    from tilegb import homology
-    from tilegb.homology import AbelianGroup
-    monkeypatch.setattr(homology, "stabilized_group",
-                        lambda tiles, lo, hi: (AbelianGroup(1, ()), False))
-    assert run(["homology", "--n", "3"]) == (3, "Z\n")
-    assert capsys.readouterr().err.startswith("warning: box groups did not stabilize")
+def test_homology_unstable_scan_is_inconclusive(tmp_path, capsys):
+    # The L-tromino is not tame (no power of x is 1 modulo its ideal), so it
+    # takes the box scan, whose groups do not stabilize.
+    path = tmp_path / "L.tiles"
+    path.write_text(tiles_to_text([frozenset({(0, 0), (0, 1), (1, 0)})]))
+    assert run(["homology", "--tiles", str(path)]) == (3, "Z^15\n")
+    assert capsys.readouterr().err == "warning: box groups did not stabilize on sides 6..8\n"
+
+
+@pytest.mark.parametrize("tiles", [
+    # Families 2 and 3 of perfbench/pinned.json; their strong bases hold the
+    # constant 4, so the group has no free part.
+    [[(0, 0), (0, 1), (0, 2), (1, 0)], [(0, 0), (1, 0), (1, 1), (2, 0)],
+     [(0, 1), (0, 2), (1, 1), (2, 0)]],
+    [[(0, 0), (0, 1), (0, 2), (1, 1)], [(0, 0), (0, 1), (1, 0), (2, 0)],
+     [(0, 2), (1, 0), (1, 1), (2, 0)]],
+])
+def test_homology_tame_tiles_without_free_part(tmp_path, tiles):
+    path = tmp_path / "family.tiles"
+    path.write_text(tiles_to_text([frozenset(t) for t in tiles]))
+    assert run(["homology", "--tiles", str(path)]) == (0, "Z/2 + Z/2 + Z/2 + Z/4\n")
+    code, text = run(["gb", "--tiles", str(path), "--verify"])
+    assert code == 0 and "4" in text.splitlines()
+
+
+def test_homology_large_bones_from_basis():
+    started = time.perf_counter()
+    assert run(["homology", "--n", "40"]) == (0, "Z^1482 + Z/40\n")
+    assert time.perf_counter() - started < 5
 
 
 def test_homology_tiles_file(tmp_path, bones3_file):

@@ -1,14 +1,21 @@
 """Smith normal form and tile homology groups."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from helpers import brute_minor_gcd
+from helpers import brute_minor_gcd, torus_group
 from tilegb.bones import bone_system, nbone_prototiles
-from tilegb.homology import (AbelianGroup, box_group, box_presentation,
-                             nbone_homology, snf, stabilized_group)
+from tilegb.groebner import buchberger
+from tilegb.homology import (AbelianGroup, basis_group, box_group,
+                             box_presentation, nbone_homology, snf,
+                             stabilized_group)
+from tilegb.tiling import newton_polynomial, normalize_region
+
+PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json"
 
 
 @pytest.mark.parametrize("M,factors,rank", [
@@ -191,3 +198,80 @@ def test_staircase_count_matches_group(n):
     torsion = [m for m in staircase
                if any(a <= m[0] and b <= m[1] for a, b in torsion_lms)]
     assert torsion == [(n - 2, 0)]
+
+
+# ---------------------------------------------------------------------------
+# basis_group: the group read off a strong basis, checked against the torus
+# presentation Z[Z_a x Z_b]/I, which is H when a and b are the periods.
+
+def periods(tiles):
+    return buchberger([newton_polynomial(normalize_region(t)[0]) for t in tiles]).periods
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_basis_group_matches_closed_form(n):
+    assert basis_group(nbone_prototiles(n)) == nbone_homology(n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_basis_group_matches_torus_on_bones(n):
+    tiles = nbone_prototiles(n)
+    a, b = periods(tiles)
+    assert torus_group(tiles, a, b) == basis_group(tiles)
+
+
+def test_basis_group_matches_torus_on_pinned_families():
+    families = json.loads(PINNED.read_text())["families"]
+    compared = 0
+    for k, family in enumerate(families):
+        tiles = [frozenset(map(tuple, tile)) for tile in family["tiles"]]
+        a, b = periods(tiles)
+        group = basis_group(tiles)
+        assert (group is None) == (a is None or b is None), k
+        if group is not None and a * b <= 64:
+            assert torus_group(tiles, a, b) == group, k
+            compared += 1
+    assert compared == 9
+
+
+def test_basis_group_matches_torus_on_random_sets():
+    rng = random.Random(1)
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    compared = nontrivial = 0
+    while compared < 100:
+        tiles = [frozenset(rng.sample(cells, rng.randint(1, 5)))
+                 for _ in range(rng.randint(1, 3))]
+        group = basis_group(tiles)
+        if group is None:
+            continue
+        a, b = periods(tiles)
+        if a * b > 64:
+            continue
+        assert torus_group(tiles, a, b) == group, tiles
+        compared += 1
+        nontrivial += group != AbelianGroup(0)
+    assert nontrivial >= 10
+
+
+def test_basis_group_relation_tails_matter():
+    # Generators x, y, 1 with relation rows 2*x + y - 1, 2*y + 2 and 4; the
+    # diagonal alone, tails dropped, would give Z/2 + Z/2 + Z/4.
+    tiles = [frozenset({(0, 0), (0, 2), (1, 1), (1, 2)}),
+             frozenset({(0, 2), (1, 0), (1, 1), (1, 2), (2, 0)}),
+             frozenset({(0, 2), (1, 2), (2, 1)})]
+    assert periods(tiles) == (6, 2)
+    assert basis_group(tiles) == AbelianGroup(0, (4, 4)) == torus_group(tiles, 6, 2)
+
+
+def test_basis_group_none_when_not_tame():
+    assert basis_group([frozenset({(0, 0), (0, 1), (1, 0)})]) is None
+    # y occurs in no tile, so it has no period.
+    assert basis_group([frozenset({(0, 0), (1, 0)})]) is None
+
+
+def test_basis_group_trivial_and_invalid():
+    assert basis_group([frozenset({(0, 0)})]) == AbelianGroup(0)
+    with pytest.raises(ValueError, match="empty prototile"):
+        basis_group([])
+    with pytest.raises(ValueError, match="empty prototile"):
+        basis_group([frozenset()])
