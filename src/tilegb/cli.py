@@ -87,11 +87,11 @@ def _read(path: str) -> str:
 
 
 def _load_tiles(args) -> list[tiling.Region]:
-    if args.n is not None and args.tiles:
+    if args.n is not None and args.tiles is not None:
         raise UsageError("give either --n or --tiles, not both")
     if args.n is not None:
         return bones.nbone_prototiles(args.n)
-    if args.tiles:
+    if args.tiles is not None:
         return tiling.parse_tiles_text(_read(args.tiles))
     raise UsageError("one of --n or --tiles is required")
 
@@ -162,15 +162,11 @@ def _cmd_reduce(args, out: list[str]) -> int:
 
 
 def _cmd_gb(args, out: list[str]) -> int:
-    if (args.n is None) == (args.tiles is None):
-        raise UsageError("give exactly one of --n or --tiles")
+    prototiles = _load_tiles(args)
     if args.n is not None:
         basis = bones.bone_system(args.n).basis
     else:
-        prototiles = tiling.parse_tiles_text(_read(args.tiles))
-        gens = [tiling.newton_polynomial(tiling.normalize_region(t)[0])
-                for t in prototiles]
-        basis = groebner.buchberger(gens, conv="nonneg")
+        basis = groebner.buchberger(tiling.tile_generators(prototiles), conv="nonneg")
     text = groebner.basis_to_text(basis)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -224,8 +220,7 @@ def _cmd_homology(args, out: list[str]) -> int:
         group = homology.basis_group(prototiles)
     if group is None:
         # Not tame: no basis route, so scan box groups instead.
-        size = 1 + max(tiling.tile_extent(t) for t in prototiles)
-        start = 3 * size
+        start = 3 * tiling.tile_reach(prototiles)
         group, stabilized = homology.stabilized_group(prototiles, start, start + 2)
         if not stabilized:
             print(f"warning: box groups did not stabilize on sides "
@@ -239,7 +234,7 @@ def _cmd_oracle(args, out: list[str]) -> int:
     prototiles = tiling.parse_tiles_text(_read(args.tiles))
     margin = args.margin
     if margin is None:
-        margin = 2 * (1 + max(tiling.tile_extent(t) for t in prototiles))
+        margin = 2 * tiling.tile_reach(prototiles)
     decision = oracle.oracle_decide(region, prototiles, margin)
     if decision.solvable:
         out.append("YES")
@@ -302,10 +297,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     out: list[str] = []
     try:
         code = _COMMANDS[args.verb](args, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, ""
-    except (OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
     return code, "".join(line + "\n" for line in out)

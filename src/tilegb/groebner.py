@@ -78,16 +78,24 @@ class GroebnerBasis:
     @cached_property
     def periods(self) -> tuple[int | None, ...]:
         """For each variable, the smallest a in 1..2*maxdeg+2 with x_var^a - 1
-        reducing to zero (so x_var^a is 1 modulo the ideal), or None."""
+        reducing to zero (so x_var^a is 1 modulo the ideal), or None.  The
+        search steps NF(x^a) = NF(x * NF(x^(a-1))) and stops where it equals
+        NF(1), which is 0 in the unit ideal; both rely on the unique normal
+        forms that every strong basis has."""
         bound = 2 * max(g.degree() for g in self.elements) + 2
-        one = (0,) * self.nvars
+
+        def normal_form(terms: dict[Mono, int]) -> dict[Mono, int]:
+            return _reduce_raw(terms, self.nvars, self.elements, self._lts, self.order,
+                               self.convention)[1]
+
+        one = normal_form({(0,) * self.nvars: 1})
         found: list[int | None] = []
         for var in range(self.nvars):
+            step = tuple(int(i == var) for i in range(self.nvars))
+            nf = one
             for a in range(1, bound + 1):
-                power = tuple(a if i == var else 0 for i in range(self.nvars))
-                _, rem = _reduce_raw({power: 1, one: -1}, self.nvars, self.elements,
-                                     self._lts, self.order, self.convention)
-                if not rem:
+                nf = normal_form({tuple(map(operator.add, m, step)): c for m, c in nf.items()})
+                if nf == one:
                     found.append(a)
                     break
             else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .groebner import buchberger, remainder
 from .intlin import axpy, echelon_insert
 from .polyring import Polynomial, mono_div, mono_divides
-from .tiling import Region, newton_polynomial, normalize_region
+from .tiling import Region, tile_generators
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,7 @@ def basis_group(prototiles: list[Region]) -> AbelianGroup | None:
     to zero by them, since its leading term is strongly reducible; so their
     cokernel is H.
     """
-    if not prototiles:
-        raise ValueError("empty prototile list")
-    if any(not t for t in prototiles):
-        raise ValueError("empty prototile")
-    G = buchberger([newton_polynomial(normalize_region(t)[0]) for t in prototiles])
+    G = buchberger(tile_generators(prototiles))
     a, b = G.periods
     if a is None or b is None:
         return None
@@ -176,15 +172,9 @@ def basis_group(prototiles: list[Region]) -> AbelianGroup | None:
 def box_presentation(prototiles: list[Region], box_side: int) -> list[dict[int, int]]:
     """All translates of each prototile fully supported in [0, D)^2, as sparse
     relation rows over the D^2 cell generators (cell (p, q) -> p*D + q)."""
-    if not prototiles:
-        raise ValueError("empty prototile list")
-    if any(not t for t in prototiles):
-        raise ValueError("empty prototile")
     d = box_side
     relations: list[dict[int, int]] = []
-    for tile in prototiles:
-        norm, _ = normalize_region(tile)
-        poly = newton_polynomial(norm)
+    for poly in tile_generators(prototiles):
         w = poly.max_exponent(0)
         h = poly.max_exponent(1)
         if w >= d or h >= d:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intlin import Combinations, echelon_insert, lattice_express
-from .tiling import Certificate, Placement, Region, verify_certificate
+from .tiling import Certificate, Placement, Region, tile_generators, verified_certificate
 
 
 @dataclass
@@ -86,10 +86,7 @@ def hnf_solve(A: list[list[int]], t: list[int]) -> list[int] | None:
 def placement_system(region: Region, prototiles: list[Region], margin: int) -> PlacementSystem:
     """Box = bounding box of the region padded by ``margin``; placements are
     all prototile translates fully inside the box."""
-    if not prototiles:
-        raise ValueError("empty prototile list")
-    if any(not t for t in prototiles):
-        raise ValueError("empty prototile")
+    tile_generators(prototiles)  # validates; the shifts use raw tile coordinates
     if margin < 0:
         raise ValueError("negative margin")
     if region:
@@ -133,9 +130,6 @@ def oracle_decide(region: Region, prototiles: list[Region], margin: int) -> Orac
     z = _solve_rows(system.matrix, len(system.placements), system.target)
     if z is None:
         return OracleDecision(False)
-    placements = [Placement(pl.tile, pl.shift, 1 if mult > 0 else -1, abs(mult))
-                  for mult, pl in zip(z, system.placements) if mult]
-    cert = Certificate(list(prototiles), placements, region)
-    if not verify_certificate(cert):
-        raise RuntimeError("internal error: oracle solution failed verification")
+    cert = verified_certificate(prototiles, region, ((pl.tile, pl.shift, mult)
+                                                     for mult, pl in zip(z, system.placements)))
     return OracleDecision(True, z, cert)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import bones, groebner
 from .groebner import buchberger
@@ -43,8 +44,8 @@ class Certificate:
 @dataclass
 class TilingDecision:
     """Outcome of the generic decision: 'yes' carries a verified certificate;
-    'no' is only returned when the test-monomial sequence provably stabilizes;
-    otherwise 'inconclusive'."""
+    'no' is only returned when both variables are tame (each has a period
+    modulo the ideal, or occurs in no prototile); otherwise 'inconclusive'."""
 
     status: str
     certificate: Certificate | None = None
@@ -91,6 +92,19 @@ def verify_certificate(cert: Certificate) -> bool:
     return acc == {cell: 1 for cell in cert.region}
 
 
+def verified_certificate(prototiles: list[Region], region: Region,
+                         weights: Iterable[tuple[int, Cell, int]]) -> Certificate:
+    """Certificate with one placement of sign +-1 and count |c| for each
+    nonzero ``(tile, shift, c)`` in ``weights``, in the given order.  It is
+    verified cell by cell before it is returned."""
+    placements = [Placement(tile, shift, 1 if c > 0 else -1, abs(c))
+                  for tile, shift, c in weights if c]
+    cert = Certificate(list(prototiles), placements, region)
+    if not verify_certificate(cert):
+        raise RuntimeError("internal error: certificate failed verification")
+    return cert
+
+
 def _certificate_from_quotients(quotients: list[Polynomial],
                                 cofactor_rows: list[list[Polynomial]],
                                 prototiles: list[Region], region: Region,
@@ -98,24 +112,31 @@ def _certificate_from_quotients(quotients: list[Polynomial],
     """Certificate from a zero-remainder division: the quotients times the
     basis cofactor rows give one cofactor per prototile, and each cofactor
     term c * x^a y^b becomes one placement of weight c, shifted by the tile's
-    offset.  The certificate is verified before it is returned."""
+    offset."""
     cof = [Polynomial.zero() for _ in prototiles]
     for q, row in zip(quotients, cofactor_rows):
         if q:
             cof = [c + q * rc for c, rc in zip(cof, row)]
-    placements = [Placement(tile_index, (a + oi, b + oj), 1 if c > 0 else -1, abs(c))
-                  for tile_index, (cf, (oi, oj)) in enumerate(zip(cof, offsets))
-                  for (a, b), c in sorted(cf.terms.items())]
-    cert = Certificate(list(prototiles), placements, region)
-    if not verify_certificate(cert):
-        raise RuntimeError("internal error: extracted certificate failed verification")
-    return cert
+    return verified_certificate(prototiles, region,
+                                ((tile_index, (a + oi, b + oj), c)
+                                 for tile_index, (cf, (oi, oj)) in enumerate(zip(cof, offsets))
+                                 for (a, b), c in sorted(cf.terms.items())))
 
 
-def tile_extent(tile: Region) -> int:
-    xs = [i for i, _ in tile]
-    ys = [j for _, j in tile]
-    return max(max(xs) - min(xs), max(ys) - min(ys))
+def tile_generators(prototiles: list[Region]) -> list[Polynomial]:
+    """Generators of the prototile ideal: the Newton polynomial of each
+    prototile translated to start at (0, 0).  Refuses an empty list and
+    empty prototiles."""
+    if not prototiles:
+        raise ValueError("empty prototile list")
+    if any(not t for t in prototiles):
+        raise ValueError("empty prototile")
+    return [newton_polynomial(normalize_region(t)[0]) for t in prototiles]
+
+
+def tile_reach(prototiles: list[Region]) -> int:
+    """One more than the largest bounding-box side (extent) of any prototile."""
+    return 1 + max(g.max_exponent(var) for g in tile_generators(prototiles) for var in (0, 1))
 
 
 def decide_signed_tiling(region: Region, prototiles: list[Region],
@@ -129,27 +150,16 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
     provably invertible modulo the ideal: either some pure power x^a (resp.
     y^a) is congruent to 1, or the variable occurs in no prototile.
     """
-    if not prototiles:
-        raise ValueError("empty prototile list")
-    if any(not t for t in prototiles):
-        raise ValueError("empty prototile")
+    gens = tile_generators(prototiles)
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
-    norm_tiles = []
-    offsets = []
-    for tile in prototiles:
-        nt, (di, dj) = normalize_region(tile)
-        norm_tiles.append(nt)
-        # A placement of the normalized tile at (a, b) is the original tile
-        # at (a + di, b + dj).
-        offsets.append((di, dj))
+    # A placement of the normalized tile at (a, b) is the original tile at
+    # (a + di, b + dj).
+    offsets = [normalize_region(t)[1] for t in prototiles]
     region_norm, (ri, rj) = normalize_region(region)
     f_region = newton_polynomial(region_norm)
-    gens = [newton_polynomial(t) for t in norm_tiles]
     G = buchberger(gens, LEX, "nonneg", track_cofactors=True)
-
-    diameter = max(tile_extent(t) for t in prototiles)
-    d = diameter + 1
+    d = tile_reach(prototiles)
 
     # A variable is tame when multiplication by it is invertible modulo the
     # ideal, so test monomials cannot change membership.

@@ -1,11 +1,22 @@
 """Shared test utilities."""
 
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
+from tilegb.groebner import reduce
 from tilegb.homology import AbelianGroup, snf
 from tilegb.polyring import Polynomial
+
+PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json"
+
+
+def pinned_families():
+    """The 21 rotation-closed 3- and 4-cell polyhex tile sets of the benchmark."""
+    return [[frozenset(map(tuple, tile)) for tile in family["tiles"]]
+            for family in json.loads(PINNED.read_text())["families"]]
 
 
 def random_poly(rng: random.Random, max_degree: int = 8, max_terms: int = 8,
@@ -64,3 +75,19 @@ def torus_group(tiles, a, b):
                 rows.append(row)
     factors, rank = snf(rows)
     return AbelianGroup(a * b - rank, tuple(f for f in factors if f != 1))
+
+
+def periods_by_definition(G):
+    """Each variable's period by definition: the smallest a in 1..2*maxdeg+2
+    with x^a - 1 reducing to zero modulo G, or None; one division per a."""
+    bound = 2 * max(g.degree() for g in G.elements) + 2
+    found = []
+    for var in range(G.nvars):
+        for a in range(1, bound + 1):
+            power = tuple(a if i == var else 0 for i in range(G.nvars))
+            if reduce(Polynomial({power: 1, (0,) * G.nvars: -1}), G).remainder.is_zero():
+                found.append(a)
+                break
+        else:
+            found.append(None)
+    return tuple(found)

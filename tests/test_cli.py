@@ -3,6 +3,7 @@
 import os
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +157,15 @@ def test_gb_from_tiles(tmp_path, bones3_file):
     assert out.splitlines()[-1] == "verify: PASS"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n", "3", "--tiles", "{tiles}"], [], ["--n", "3", "--tiles", ""],
+], ids=["both", "neither", "both-empty-path"])
+def test_gb_needs_exactly_one_tile_source(capsys, bones3_file, flags):
+    capsys.readouterr()
+    assert run(["gb"] + [f.format(tiles=bones3_file) for f in flags]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # certificate / verify / render
 
@@ -167,7 +177,7 @@ def test_certificate_verify_render_round_trip(tmp_path):
     assert (code, out) == (0, "placements=24\n")
     assert os.path.exists(cert_path)
     assert os.path.exists(cert_path + ".region")
-    assert open(svg_path, "rb").read().startswith(b"<svg")
+    assert Path(svg_path).read_bytes().startswith(b"<svg")
 
     assert run(["verify", "--certificate", cert_path, "--n", "3"]) == (0, "VALID\n")
 
@@ -192,13 +202,13 @@ def test_certificate_file_carries_counts(tmp_path):
     cert_path = str(tmp_path / "c83.cert")
     assert run(["certificate", "--n", "3", "--m", "8", "--out", cert_path]) == \
         (0, "placements=24\n")
-    rows = [line.split() for line in open(cert_path).read().splitlines()[1:]]
+    rows = [line.split() for line in Path(cert_path).read_text().splitlines()[1:]]
     assert sum(int(r[4]) if len(r) == 5 else 1 for r in rows) == 24
     assert len(rows) < 24 and any(len(r) == 5 for r in rows)
     out_path = str(tmp_path / "c83.txt")
     assert run(["render", "--certificate", cert_path, "--format", "text",
                 "--out", out_path]) == (0, "")
-    assert open(out_path).read().splitlines() == [" ".join(r) for r in rows]
+    assert Path(out_path).read_text().splitlines() == [" ".join(r) for r in rows]
 
 
 @pytest.mark.parametrize("count", ["0", "-2", "x"])
@@ -243,13 +253,13 @@ def test_render_region_text_and_svg(tmp_path):
     out_path = str(tmp_path / "t2.txt")
     code, _ = run(["render", "--region", rpath, "--format", "text", "--out", out_path])
     assert code == 0
-    assert open(out_path).read() == "0 0\n1 0\n0 1\n"
+    assert Path(out_path).read_text() == "0 0\n1 0\n0 1\n"
     svg_path = str(tmp_path / "t2.svg")
     code, _ = run(["render", "--region", rpath, "--format", "svg", "--out", svg_path])
     assert code == 0
-    first = open(svg_path, "rb").read()
+    first = Path(svg_path).read_bytes()
     run(["render", "--region", rpath, "--format", "svg", "--out", svg_path])
-    assert open(svg_path, "rb").read() == first
+    assert Path(svg_path).read_bytes() == first
 
 
 @pytest.mark.parametrize("source", ["region", "certificate"])
@@ -276,7 +286,7 @@ def test_render_certificate_text(tmp_path):
     code, _ = run(["render", "--certificate", cert_path, "--format", "text",
                    "--out", out_path])
     assert code == 0
-    lines = open(out_path).read().splitlines()
+    lines = Path(out_path).read_text().splitlines()
     assert len(lines) == 5
 
 

@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from helpers import random_poly, random_univariate
+from helpers import periods_by_definition, pinned_families, random_poly, random_univariate
 from tilegb import groebner
-from tilegb.bones import b3_poly, bone_polynomials, bone_system, triangle
+from tilegb.bones import b3_poly, bone_polynomials, bone_system, nbone_prototiles, triangle
 from tilegb.groebner import (GroebnerBasis, basis_from_text, basis_to_text,
                              buchberger, g_polynomial, ideal_member, reduce,
                              remainder, s_polynomial, verify_strong_gb, xgcd)
 from tilegb.polyring import (CONVENTIONS, LEX, Polynomial, diff_quotient, format_poly,
                              parse_poly)
+from tilegb.tiling import tile_generators
 
 
 def expand(quotients, basis_elements, remainder):
@@ -134,6 +135,27 @@ def test_periods_of_completed_basis_match_explicit():
 def test_periods_absent_when_no_pure_power_is_one():
     assert GroebnerBasis([parse_poly("x - y")]).periods == (None, None)
     assert GroebnerBasis([parse_poly("x + 1")]).periods == (2, None)
+
+
+def test_periods_of_unit_ideal():
+    # NF(1) is 0 in the unit ideal, so the stepped search must compare with
+    # NF(1), not with 1.
+    assert buchberger([Polynomial.constant(1)]).periods == (1, 1)
+
+
+def test_periods_match_definition():
+    rng = random.Random(21)
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    tile_sets = [nbone_prototiles(n) for n in range(2, 6)] + pinned_families() + [
+        [frozenset(rng.sample(cells, rng.randint(1, 5))) for _ in range(rng.randint(1, 3))]
+        for _ in range(60)]
+    missing = set()
+    for tiles in tile_sets:
+        for conv in CONVENTIONS:
+            G = buchberger(tile_generators(tiles), conv=conv)
+            assert G.periods == periods_by_definition(G), (tiles, conv)
+            missing.update(p is None for p in G.periods)
+    assert missing == {True, False}
 
 
 @pytest.mark.parametrize("n", range(2, 9))

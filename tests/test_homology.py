@@ -1,21 +1,18 @@
 """Smith normal form and tile homology groups."""
 
-import json
 import math
 import random
-from pathlib import Path
 
 import pytest
 
-from helpers import brute_minor_gcd, torus_group
+from helpers import brute_minor_gcd, pinned_families, torus_group
 from tilegb.bones import bone_system, nbone_prototiles
 from tilegb.groebner import buchberger
 from tilegb.homology import (AbelianGroup, basis_group, box_group,
                              box_presentation, nbone_homology, snf,
                              stabilized_group)
-from tilegb.tiling import newton_polynomial, normalize_region
-
-PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json"
+from tilegb.oracle import placement_system
+from tilegb.tiling import decide_signed_tiling, tile_generators
 
 
 @pytest.mark.parametrize("M,factors,rank", [
@@ -127,13 +124,6 @@ def test_box_group_rejects_small_box():
         box_group(nbone_prototiles(3), 2)
 
 
-def test_box_group_rejects_empty_prototile():
-    with pytest.raises(ValueError, match="empty prototile"):
-        box_group([frozenset()], 3)
-    with pytest.raises(ValueError, match="empty prototile"):
-        box_group([frozenset({(0, 0), (1, 0)}), frozenset()], 3)
-
-
 @pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (3, 6), (3, 7)])
 def test_box_group_bones_small_boxes(n, d):
     assert box_group(nbone_prototiles(n), d) == nbone_homology(n)
@@ -205,7 +195,7 @@ def test_staircase_count_matches_group(n):
 # presentation Z[Z_a x Z_b]/I, which is H when a and b are the periods.
 
 def periods(tiles):
-    return buchberger([newton_polynomial(normalize_region(t)[0]) for t in tiles]).periods
+    return buchberger(tile_generators(tiles)).periods
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -221,10 +211,8 @@ def test_basis_group_matches_torus_on_bones(n):
 
 
 def test_basis_group_matches_torus_on_pinned_families():
-    families = json.loads(PINNED.read_text())["families"]
     compared = 0
-    for k, family in enumerate(families):
-        tiles = [frozenset(map(tuple, tile)) for tile in family["tiles"]]
+    for k, tiles in enumerate(pinned_families()):
         a, b = periods(tiles)
         group = basis_group(tiles)
         assert (group is None) == (a is None or b is None), k
@@ -269,9 +257,23 @@ def test_basis_group_none_when_not_tame():
     assert basis_group([frozenset({(0, 0), (1, 0)})]) is None
 
 
-def test_basis_group_trivial_and_invalid():
+def test_basis_group_single_cell():
     assert basis_group([frozenset({(0, 0)})]) == AbelianGroup(0)
-    with pytest.raises(ValueError, match="empty prototile"):
-        basis_group([])
-    with pytest.raises(ValueError, match="empty prototile"):
-        basis_group([frozenset()])
+
+
+# Every entry point refuses an empty prototile list and empty prototiles with
+# the same messages.
+@pytest.mark.parametrize("entry", [
+    lambda tiles: decide_signed_tiling(frozenset({(0, 0)}), tiles),
+    basis_group,
+    lambda tiles: box_group(tiles, 3),
+    lambda tiles: placement_system(frozenset({(0, 0)}), tiles, 1),
+], ids=["decide_signed_tiling", "basis_group", "box_group", "placement_system"])
+@pytest.mark.parametrize("tiles,message", [
+    ([], "empty prototile list"),
+    ([frozenset()], "empty prototile"),
+    ([frozenset({(0, 0), (1, 0)}), frozenset()], "empty prototile"),
+], ids=["no-tiles", "empty-tile", "second-tile-empty"])
+def test_entry_points_refuse_empty_prototiles(entry, tiles, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry(tiles)
