@@ -81,6 +81,17 @@ class UsageError(Exception):
     pass
 
 
+# certificate and brion build the whole side-m triangle, so time and memory
+# grow as m^2 (m = 1000 already takes seconds).  1024 still reaches the first
+# tileable side, n^2 - 1, for every n <= 32.
+MAX_SIDE = 1024
+
+
+def _check_side(m: int) -> None:
+    if m > MAX_SIDE:
+        raise UsageError(f"--m {m} is above the limit of {MAX_SIDE}")
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -184,6 +195,7 @@ def _cmd_gb(args, out: list[str]) -> int:
 
 
 def _cmd_certificate(args, out: list[str]) -> int:
+    _check_side(args.m)
     if not bones.decide_nbone(args.m, args.n):
         print(f"triangle of side {args.m} admits no signed tiling by {args.n}-bones",
               file=sys.stderr)
@@ -244,6 +256,7 @@ def _cmd_oracle(args, out: list[str]) -> int:
 
 
 def _cmd_brion(args, out: list[str]) -> int:
+    _check_side(args.m)
     form = brion.rational_form_T(args.m)
     parts = []
     for num, dens in form.terms:

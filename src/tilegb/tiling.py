@@ -143,12 +143,18 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
                          max_rounds: int = 8) -> TilingDecision:
     """Decide signed tilability of ``region`` by translates of ``prototiles``.
 
-    Computes a strong basis of the prototile ideal with cofactors recorded,
+    Completes a strong basis of the prototile ideal without cofactor rows,
     then tests membership of (xy)^(t*D) * f_region for t = 0..max_rounds,
     where D is one more than the largest prototile extent (a cofinal test
-    sequence).  The answer 'no' is definitive only when every variable is
-    provably invertible modulo the ideal: either some pure power x^a (resp.
-    y^a) is congruent to 1, or the variable occurs in no prototile.
+    sequence).  Round 0 takes the normal form r_0 of f_region (folded by the
+    variable periods); round t takes r_t = NF((xy)^D * r_(t-1)), which is
+    NF((xy)^(t*D) * f_region) because a strong basis gives unique normal
+    forms.  Only when some r_t is zero is the basis completed again with
+    cofactor rows (the same elements), and (xy)^(t*D) * f_region divided with
+    quotients for the certificate.  The answer 'no' is definitive only when
+    every variable is provably invertible modulo the ideal: either some pure
+    power x^a (resp. y^a) is congruent to 1, or the variable occurs in no
+    prototile.
     """
     gens = tile_generators(prototiles)
     if max_rounds < 0:
@@ -158,7 +164,7 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
     offsets = [normalize_region(t)[1] for t in prototiles]
     region_norm, (ri, rj) = normalize_region(region)
     f_region = newton_polynomial(region_norm)
-    G = buchberger(gens, LEX, "nonneg", track_cofactors=True)
+    G = buchberger(gens, LEX, "nonneg")
     d = tile_reach(prototiles)
 
     # A variable is tame when multiplication by it is invertible modulo the
@@ -168,14 +174,17 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
     decisive = all(tame)
 
     rounds = 0 if decisive else max_rounds
+    nf = groebner.remainder(f_region, G)
     for t in range(rounds + 1):
-        shifted = f_region.mul_term(1, (t * d, t * d))
-        res = groebner.reduce(shifted, G)
-        if not res.remainder.is_zero():
+        if t:
+            nf = groebner.remainder(nf.mul_term(1, (d, d)), G)
+        if not nf.is_zero():
             continue
+        tracked = buchberger(gens, LEX, "nonneg", track_cofactors=True)
+        res = groebner.reduce(f_region.mul_term(1, (t * d, t * d)), tracked)
         shift_back = (-t * d - ri, -t * d - rj)
         total_offsets = [(oi + shift_back[0], oj + shift_back[1]) for oi, oj in offsets]
-        cert = _certificate_from_quotients(res.quotients, G.cofactors, prototiles,
+        cert = _certificate_from_quotients(res.quotients, tracked.cofactors, prototiles,
                                            region, total_offsets)
         return TilingDecision("yes", cert)
     return TilingDecision("no" if decisive else "inconclusive")

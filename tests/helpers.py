@@ -6,9 +6,12 @@ import math
 import random
 from pathlib import Path
 
-from tilegb.groebner import reduce
+from tilegb.groebner import buchberger, reduce
 from tilegb.homology import AbelianGroup, snf
-from tilegb.polyring import Polynomial
+from tilegb.polyring import LEX, Polynomial
+from tilegb.tiling import (TilingDecision, _certificate_from_quotients,
+                           newton_polynomial, normalize_region, tile_generators,
+                           tile_reach)
 
 PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json"
 
@@ -91,3 +94,24 @@ def periods_by_definition(G):
         else:
             found.append(None)
     return tuple(found)
+
+
+def decide_by_full_division(region, prototiles, max_rounds=8):
+    """The signed-tiling decision computed the long way: one completion with
+    cofactor rows, then in each round t a full division, with quotients, of
+    (xy)^(t*D) * f_region (round 0 alone when both variables are tame)."""
+    gens = tile_generators(prototiles)
+    G = buchberger(gens, LEX, "nonneg", track_cofactors=True)
+    d = tile_reach(prototiles)
+    decisive = all(G.periods[var] is not None or all(g.max_exponent(var) == 0 for g in gens)
+                   for var in range(2))
+    region_norm, (ri, rj) = normalize_region(region)
+    f_region = newton_polynomial(region_norm)
+    offsets = [normalize_region(t)[1] for t in prototiles]
+    for t in range(1 if decisive else max_rounds + 1):
+        res = reduce(f_region.mul_term(1, (t * d, t * d)), G)
+        if res.remainder.is_zero():
+            shifted = [(oi - t * d - ri, oj - t * d - rj) for oi, oj in offsets]
+            return TilingDecision("yes", _certificate_from_quotients(
+                res.quotients, G.cofactors, prototiles, region, shifted))
+    return TilingDecision("no" if decisive else "inconclusive")

@@ -351,6 +351,15 @@ def test_brion_cli():
     assert run(["brion", "--m", "5"]) == (code, out)
 
 
+@pytest.mark.parametrize("argv", (["certificate", "--n", "3"], ["brion"]))
+def test_triangle_side_above_limit_is_usage_error(capsys, argv):
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(argv + ["--m", "1000000"]) == (2, "")
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == "error: --m 1000000 is above the limit of 1024\n"
+
+
 def test_missing_file_is_reported():
     assert run(["reduce", "--n", "3", "--poly", "@/no/such/file"])[0] == 2
     assert run(["verify", "--certificate", "/no/such/file", "--n", "3"])[0] == 2

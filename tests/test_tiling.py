@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from helpers import decide_by_full_division
+from tilegb import tiling
 from tilegb.bones import decide_nbone, nbone_prototiles, triangle
 from tilegb.polyring import Polynomial
 from tilegb.tiling import (Certificate, Placement, certificate_nbone,
@@ -181,6 +183,52 @@ def test_decide_inconclusive_without_stabilization():
     decision = decide_signed_tiling(frozenset({(0, 0)}),
                                     [frozenset({(0, 0), (1, 1)})], max_rounds=3)
     assert decision.status == "inconclusive"
+
+
+@pytest.mark.parametrize("region, tiles, status, tracked", [
+    (tri_region(10), nbone_prototiles(3), "no", 0),
+    (frozenset({(0, 0)}), [frozenset({(0, 0), (1, 1)})], "inconclusive", 0),
+    (tri_region(8), nbone_prototiles(3), "yes", 1),
+])
+def test_decide_completes_with_cofactors_only_for_yes(monkeypatch, region, tiles, status,
+                                                      tracked):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("track_cofactors", False))
+        return tiling.groebner.buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(tiling, "buchberger", spy)
+    assert decide_signed_tiling(region, tiles, max_rounds=3).status == status
+    assert calls.count(True) == tracked
+
+
+def test_decide_matches_full_division_on_random_sets():
+    # Stepped normal forms must give the status and the certificate text of
+    # a full division of (xy)^(t*D) * f_region in every round.
+    rng = random.Random(11)
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    cases = [([frozenset(rng.sample(cells, rng.randint(2, 4)))
+               for _ in range(rng.randint(1, 3))], tri_region(m))
+             for _ in range(40) for m in range(1, 6)]
+    # This ideal is not saturated in xy: the region is in it only after
+    # round 1's shift, which exercises the stepped rounds and shift-back.
+    shifted_tiles = [frozenset({(0, 0), (1, 0), (0, 2), (1, 2)}),
+                     frozenset({(1, 0), (1, 2), (2, 2)})]
+    shifted_region = frozenset({(0, 1), (1, 0), (0, 2), (1, 1)})
+    assert (decide_signed_tiling(shifted_region, shifted_tiles, max_rounds=0).status
+            == "inconclusive")
+    statuses = []
+    for tiles, region in cases + [(shifted_tiles, shifted_region)]:
+        got = decide_signed_tiling(region, tiles, max_rounds=3)
+        want = decide_by_full_division(region, tiles, max_rounds=3)
+        assert got.status == want.status, (tiles, region)
+        if got.certificate is not None:
+            assert (certificate_to_text(got.certificate, "r")
+                    == certificate_to_text(want.certificate, "r")), (tiles, region)
+        statuses.append(got.status)
+    assert statuses[-1] == "yes"
+    assert {"yes", "no", "inconclusive"} <= set(statuses)
 
 
 def test_decide_refuses_negative_max_rounds():
