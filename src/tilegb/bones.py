@@ -20,17 +20,16 @@ def bone_polynomials(n: int) -> tuple[Polynomial, Polynomial, Polynomial]:
     """(b1, b2, b3) for the three n-bone orientations."""
     if n < 2:
         raise ValueError(f"bone length must be >= 2, got {n}")
-    b1 = Polynomial({(i, 0): 1 for i in range(n)})
-    b2 = Polynomial({(0, j): 1 for j in range(n)})
-    b3 = Polynomial({(n - 1 - i, i): 1 for i in range(n)})
-    return b1, b2, b3
+    b1 = Polynomial._make({(i, 0): 1 for i in range(n)}, 2)
+    b2 = Polynomial._make({(0, j): 1 for j in range(n)}, 2)
+    return b1, b2, b3_poly(n)
 
 
 def b3_poly(m: int) -> Polynomial:
     """x^(m-1) + x^(m-2) y + ... + y^(m-1); zero for m = 0."""
     if m < 0:
         raise ValueError("negative length")
-    return Polynomial({(m - 1 - i, i): 1 for i in range(m)})
+    return Polynomial._make({(m - 1 - i, i): 1 for i in range(m)}, 2)
 
 
 def triangle(m: int) -> Polynomial:
@@ -38,7 +37,7 @@ def triangle(m: int) -> Polynomial:
     sum of x^i y^j over i, j >= 0 with i + j <= m - 1."""
     if m < 0:
         raise ValueError("negative side length")
-    return Polynomial({(i, j): 1 for i in range(m) for j in range(m - i)})
+    return Polynomial._make({(i, j): 1 for i in range(m) for j in range(m - i)}, 2)
 
 
 def nbone_prototiles(n: int) -> list[frozenset[tuple[int, int]]]:

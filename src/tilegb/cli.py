@@ -87,6 +87,14 @@ class UsageError(Exception):
 MAX_SIDE = 1024
 
 
+# reduce folds exponents by the periods of the verified n-bone basis, so its
+# time does not grow with them.  With an unverified --basis, or with
+# --show-quotients, it divides unfolded, in time linear in the largest
+# exponent (x^100000 takes about 0.3 s), so these modes refuse exponents
+# above the square of the largest triangle side.
+MAX_EXPONENT = MAX_SIDE ** 2
+
+
 def _check_side(m: int) -> None:
     if m > MAX_SIDE:
         raise UsageError(f"--m {m} is above the limit of {MAX_SIDE}")
@@ -162,6 +170,10 @@ def _cmd_reduce(args, out: list[str]) -> int:
         poly = parse_poly(text)
     except PolyParseError as exc:
         raise UsageError(f"bad polynomial: {exc}") from None
+    unfolded = args.basis is not None or args.show_quotients
+    if unfolded and max(map(max, poly.terms), default=0) > MAX_EXPONENT:
+        raise UsageError(f"an exponent is above the limit of {MAX_EXPONENT} "
+                         "with --basis or --show-quotients")
     if not args.show_quotients:
         out.append(format_poly(groebner.remainder(poly, basis, args.conv)))
         return 0

@@ -14,11 +14,12 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import lshift
 from typing import Sequence
 
 from .polyring import (CONVENTIONS, LEX, Mono, Polynomial, TermOrder,
                        coeff_divmod, format_poly, mono_div, mono_divides,
-                       mono_lcm, parse_poly)
+                       mono_lcm, pack, parse_poly, slot_shifts, unpack)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -147,34 +148,27 @@ def _reduce_raw(fterms: dict[Mono, int], nvars: int, elements: Sequence[Polynomi
     basis element (in list order) whose leading term gives a nonzero division
     quotient; once no element applies, the term moves to the remainder.
 
-    Monomials are packed into one int each, variables in precedence order,
-    with slots wide enough (_slot_width) that no exponent carries into the
-    next slot: lex comparison is integer comparison and shifting by a
-    monomial is integer addition.  Each slot has one guard bit above its
-    exponent bits, so v | u exactly when u - v is non-negative with no guard
-    bit set.
+    Monomials are packed into one int each (polyring.pack), variables in
+    precedence order, with slots wide enough (_slot_width) that no exponent
+    carries into the next slot: lex comparison is integer comparison and
+    shifting by a monomial is integer addition.  Each slot has one guard bit
+    above its exponent bits, so v | u exactly when u - v is non-negative
+    with no guard bit set.
     """
     prec = order.precedence
     if sorted(prec) != list(range(nvars)):
         raise ValueError(f"precedence {prec} is not an order of all {nvars} variables")
     bits = _slot_width(fterms, elements, prec)
-    width = bits + 1
-    shifts = [0] * nvars
-    for k, v in enumerate(prec):
-        shifts[v] = width * (nvars - 1 - k)
+    shifts = slot_shifts(bits + 1, prec)
     guard = sum(1 << (s + bits) for s in shifts)
-    slot = (1 << bits) - 1
-    lshift = operator.lshift
-
-    def unpack(terms: dict[int, int]) -> dict[Mono, int]:
-        return {tuple((p >> s) & slot for s in shifts): c for p, c in terms.items()}
-
-    work = {sum(map(lshift, m, shifts)): c for m, c in fterms.items()}
+    work = dict(pack(fterms.items(), shifts))
     heap = [-p for p in work]
     heapq.heapify(heap)
     quotients: list[dict[int, int]] = [{} for _ in elements]
     remainder: dict[int, int] = {}
-    plts = [(sum(map(lshift, gm, shifts)), gc) for gm, gc in lts]
+    plts = list(pack(lts, shifts))
+    # pack()'s encoding, inlined to drop each leading term as it goes: the
+    # tails are packed on every call, and a call per element costs more.
     tails = [[(sum(map(lshift, m, shifts)), c) for m, c in g.terms.items() if m != gm]
              for g, (gm, _) in zip(elements, lts)]
     while heap:
@@ -208,7 +202,8 @@ def _reduce_raw(fterms: dict[Mono, int], nvars: int, elements: Sequence[Polynomi
                 break
         if c:
             remainder[mono] = c
-    return [unpack(q) if q else {} for q in quotients], unpack(remainder)
+    return ([unpack(q, shifts, bits) if q else {} for q in quotients],
+            unpack(remainder, shifts, bits))
 
 
 def _checked_convention(f: Polynomial, G: GroebnerBasis, convention: str | None) -> str:

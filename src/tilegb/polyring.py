@@ -2,13 +2,22 @@
 
 Monomials are plain tuples of non-negative exponents; a polynomial is a map
 from monomial to nonzero coefficient.  The default ring is Z[x, y].
+
+Products and division (``groebner._reduce_raw``) work on packed monomials:
+each exponent gets a slot of ``width`` bits in one int, so multiplying two
+monomials is adding two ints.  ``slot_shifts`` places the slots, ``pack``
+encodes a monomial as ``sum(map(lshift, mono, shifts))`` and ``unpack``
+decodes.  The codec is exact only while every exponent met fits its slot,
+so each caller sizes the width from its inputs, and a negative exponent,
+which fits no slot, is refused.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import add, lshift
+from typing import Iterable, Iterator, Sequence
 
 Mono = tuple[int, ...]
 
@@ -54,11 +63,61 @@ def mono_lcm(u: Mono, v: Mono) -> Mono:
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
+def slot_shifts(width: int, precedence: Sequence[int]) -> list[int]:
+    """Bit offset of each variable's slot in a packed monomial: the first
+    variable of ``precedence`` gets the top slot, so that comparing packed
+    monomials is lex comparison under that precedence."""
+    last = len(precedence) - 1
+    shifts = [0] * len(precedence)
+    for k, v in enumerate(precedence):
+        shifts[v] = width * (last - k)
+    return shifts
+
+
+def pack(items: Iterable[tuple[Mono, int]], shifts: list[int]) -> Iterator[tuple[int, int]]:
+    """Yield (packed monomial, coefficient) for each term."""
+    return ((sum(map(lshift, m, shifts)), c) for m, c in items)
+
+
+def unpack(terms: dict[int, int], shifts: list[int], bits: int) -> dict[Mono, int]:
+    """Inverse of ``pack`` for exponents of at most ``bits`` bits."""
+    slot = (1 << bits) - 1
+    if len(terms) < 8:
+        return {tuple([(p >> s) & slot for s in shifts]): c for p, c in terms.items()}
+    # One column of exponents per variable, zipped into tuples at the end,
+    # spends no interpreter frame per term; it wins from about 8 terms on.
+    cols = [[(p >> s) & slot for p in terms] for s in shifts]
+    return dict(zip(zip(*cols), terms.values()))
+
+
+def _mul_packed(f: dict[Mono, int], g: dict[Mono, int], nvars: int) -> dict[Mono, int]:
+    """Product of two term maps on packed monomials.  The slot width holds
+    the sum of the two largest exponents, so no product exponent carries."""
+    fcols, gcols = list(zip(*f)), list(zip(*g))
+    if min(map(min, fcols + gcols)) < 0:
+        raise ValueError("negative exponent; products need exponents >= 0")
+    top = max(map(max, fcols)) + max(map(max, gcols))
+    bits = top.bit_length() or 1
+    shifts = slot_shifts(bits, range(nvars))
+    acc: dict[int, int] = {}
+    get = acc.get
+    inner = list(pack(g.items(), shifts))
+    for p1, c1 in pack(f.items(), shifts):
+        for p2, c2 in inner:
+            p = p1 + p2
+            acc[p] = get(p, 0) + c1 * c2
+    for p in [p for p, c in acc.items() if not c]:
+        del acc[p]
+    return unpack(acc, shifts, bits)
+
+
 class Polynomial:
     """Immutable sparse polynomial over Z.
 
     ``terms`` maps exponent tuples to nonzero integer coefficients; the zero
-    polynomial has an empty map.  All monomials share the arity ``nvars``.
+    polynomial has an empty map.  All monomials share the arity ``nvars``,
+    and every exponent is non-negative: the constructor checks both, and
+    ``_make`` trusts its caller to keep them.  Products rely on it.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
@@ -170,16 +229,13 @@ class Polynomial:
                 return Polynomial.zero(self.nvars)
             return Polynomial._make({m: other * c for m, c in self.terms.items()}, self.nvars)
         self._check_arity(other)
-        data: dict[Mono, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = data.get(m, 0) + c1 * c2
-                if c:
-                    data[m] = c
-                else:
-                    del data[m]
-        return Polynomial._make(data, self.nvars)
+        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        if len(small.terms) == 1:
+            (mono, c), = small.terms.items()
+            return big.mul_term(c, mono)
+        if not small.terms:
+            return Polynomial.zero(self.nvars)
+        return Polynomial._make(_mul_packed(big.terms, small.terms, self.nvars), self.nvars)
 
     __rmul__ = __mul__
 
@@ -187,7 +243,7 @@ class Polynomial:
         """Multiply by the single term coeff * x^mono."""
         if coeff == 0:
             return Polynomial.zero(self.nvars)
-        return Polynomial._make({tuple(a + b for a, b in zip(m, mono)): coeff * c
+        return Polynomial._make({tuple(map(add, m, mono)): coeff * c
                                  for m, c in self.terms.items()}, self.nvars)
 
     def leading_term(self, order: TermOrder = LEX) -> tuple[Mono, int]:

@@ -69,7 +69,7 @@ def newton_polynomial(region: Region) -> Polynomial:
     for i, j in region:
         if i < 0 or j < 0:
             raise ValueError(f"negative coordinate {(i, j)}; normalize the region first")
-    return Polynomial({(i, j): 1 for i, j in region})
+    return Polynomial._make({(i, j): 1 for i, j in region}, 2)
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -196,10 +196,12 @@ def certificate_nbone(m: int, n: int) -> Certificate:
     if not bones.decide_nbone(m, n):
         raise ValueError(f"triangle of side {m} admits no signed tiling by {n}-bones")
     bs = bones.bone_system(n)
-    res = groebner.reduce(bones.triangle(m), bs.basis)
+    t = bones.triangle(m)
+    res = groebner.reduce(t, bs.basis)
     if not res.remainder.is_zero():
         raise RuntimeError("internal error: admissible triangle did not reduce to zero")
-    region = frozenset((i, j) for i in range(m) for j in range(m - i))
+    region = frozenset(t.terms)
+    del t  # its term map is as large as the region; free it before the cofactors
     return _certificate_from_quotients(res.quotients, bs.basis.cofactors,
                                        bones.nbone_prototiles(n), region, [(0, 0)] * 3)
 

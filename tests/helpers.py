@@ -34,6 +34,23 @@ def random_poly(rng: random.Random, max_degree: int = 8, max_terms: int = 8,
     return Polynomial({m: c for m, c in terms.items() if c})
 
 
+def schoolbook_product(f: Polynomial, g: Polynomial | int) -> Polynomial:
+    """f * g by the plain double loop, one exponent tuple per pair of terms:
+    the reference for the packed product."""
+    if isinstance(g, int):
+        g = Polynomial.constant(g, f.nvars)
+    data = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            c = data.get(m, 0) + c1 * c2
+            if c:
+                data[m] = c
+            else:
+                del data[m]
+    return Polynomial(data, f.nvars)
+
+
 def random_univariate(rng: random.Random, max_degree: int, coeff_bound: int = 30) -> Polynomial:
     terms = {}
     for m in range(max_degree + 1):

@@ -29,6 +29,20 @@ def test_triangle_difference_is_b3(m):
     assert triangle(m) - triangle(m - 1) == b3_poly(m)
 
 
+def test_trusted_builds_match_validated_builds():
+    # triangle, b3_poly and bone_polynomials skip the constructor's checks;
+    # each must equal the checked build of the same term map.
+    def checked(terms):
+        return Polynomial(dict.fromkeys(terms, 1))
+    for m in range(0, 16):
+        assert triangle(m) == checked((i, j) for i in range(m) for j in range(m - i))
+        assert b3_poly(m) == checked((m - 1 - i, i) for i in range(m))
+    for n in range(2, 10):
+        assert bone_polynomials(n) == (checked((i, 0) for i in range(n)),
+                                       checked((0, j) for j in range(n)),
+                                       checked((n - 1 - i, i) for i in range(n)))
+
+
 def test_bone_polynomials_n3():
     b1, b2, b3 = bone_polynomials(3)
     assert b1 == parse_poly("1 + x + x^2")

@@ -360,6 +360,21 @@ def test_triangle_side_above_limit_is_usage_error(capsys, argv):
     assert capsys.readouterr().err == "error: --m 1000000 is above the limit of 1024\n"
 
 
+def test_unfolded_reduce_refuses_large_exponents(tmp_path, capsys):
+    bpath = str(tmp_path / "basis.txt")
+    assert run(["gb", "--n", "3", "--out", bpath])[0] == 0
+    capsys.readouterr()
+    for mode in (["--n", "3", "--show-quotients"], ["--basis", bpath]):
+        for poly in ("x^10000000000", "1 + x*y^1048577"):
+            start = time.perf_counter()
+            assert run(["reduce", *mode, "--poly", poly]) == (2, "")
+            assert time.perf_counter() - start < 0.5
+            assert capsys.readouterr().err == ("error: an exponent is above the limit of "
+                                               "1048576 with --basis or --show-quotients\n")
+    # Folded reduce --n has no limit.
+    assert run(["reduce", "--n", "3", "--poly", "x^1000000000000 + y"]) == (0, "x + y\n")
+
+
 def test_missing_file_is_reported():
     assert run(["reduce", "--n", "3", "--poly", "@/no/such/file"])[0] == 2
     assert run(["verify", "--certificate", "/no/such/file", "--n", "3"])[0] == 2

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from helpers import random_poly
+from helpers import random_poly, schoolbook_product
 from tilegb.bones import b3_poly, bone_polynomials, triangle
 from tilegb.polyring import (LEX, Polynomial, PolyParseError, TermOrder,
                              coeff_divmod, diff_quotient, format_poly,
@@ -54,6 +54,68 @@ def test_ring_axioms_random():
         assert a + Polynomial.zero() == a
         assert a * Polynomial.constant(1) == a
         assert a - a == Polynomial.zero()
+
+
+def _random_terms(rng, nvars, base, spread, max_terms, coeff_bound):
+    terms = {}
+    for _ in range(rng.randrange(0, max_terms + 1)):
+        mono = tuple(rng.choice((0, base)) + rng.randrange(spread) for _ in range(nvars))
+        terms[mono] = terms.get(mono, 0) + rng.randint(-coeff_bound, coeff_bound)
+    return Polynomial({m: c for m, c in terms.items() if c}, nvars)
+
+
+def _check_products(a, b):
+    for product in (a * b, b.__rmul__(a)):
+        assert product == schoolbook_product(a, b)
+        assert 0 not in product.terms.values()
+        assert all(min(m) >= 0 and len(m) == a.nvars for m in product.terms)
+
+
+@pytest.mark.parametrize("nvars", (1, 2, 3))
+@pytest.mark.parametrize("base", (0, 2 ** 64 - 2, 10 ** 700))
+def test_product_matches_schoolbook(nvars, base):
+    # Exponents near 0, just below and past 2^64, and past 10^700 (as in the
+    # digit-limit format test); few distinct exponents, so products cancel.
+    rng = random.Random(1000 * nvars + base % 997)
+    for _ in range(60):
+        a = _random_terms(rng, nvars, base, 4, 9, 3)
+        b = _random_terms(rng, nvars, base, 4, 9, 1 << 70)
+        _check_products(a, b)
+        for k in (0, 1, -1, 7, -(1 << 80)):
+            assert a * k == k * a == schoolbook_product(a, k)
+        if b:
+            mono, c = next(iter(b))
+            assert a.mul_term(c, mono) == schoolbook_product(a, Polynomial({mono: c}, nvars))
+            assert a.mul_term(0, mono) == Polynomial.zero(nvars)
+
+
+def test_product_edge_operands():
+    zero, one = Polynomial.zero(), Polynomial.constant(1)
+    p = parse_poly("3 - x*y + 2*y^5")
+    term = Polynomial({(2 ** 65, 3): -4})
+    for a, b in [(p, zero), (zero, zero), (p, one), (p, Polynomial.constant(-5)), (p, term),
+                 (term, term), (one, one), (Polynomial.constant(9), Polynomial.constant(-2))]:
+        _check_products(a, b)
+        _check_products(b, a)
+    # Heavy cancellation: (1 - x) * (1 + x + ... + x^k) = 1 - x^(k+1).
+    assert parse_poly("1 - x") * bone_polynomials(40)[0] == parse_poly("1 - x^40")
+    delta = parse_poly("1 - x") * parse_poly("1 - y") * parse_poly("x - y")
+    assert triangle(30) * delta == parse_poly("x - y - x^31 + x^31*y + y^31 - x*y^31")
+
+
+def test_product_refuses_negative_exponents():
+    neg = Polynomial._make({(-1, 0): 1, (0, 0): 1}, 2)
+    for other in (parse_poly("1 + y"), parse_poly("x + x^2*y + 5"), neg):
+        with pytest.raises(ValueError):
+            neg * other
+        with pytest.raises(ValueError):
+            other * neg
+
+
+def test_product_is_one_method_for_both_sides():
+    # The benchmark's tracer wraps the product where the class defines it.
+    mul = Polynomial.__dict__["__mul__"]
+    assert callable(mul) and Polynomial.__dict__["__rmul__"] is mul
 
 
 def test_lex_compare_examples():

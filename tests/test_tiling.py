@@ -45,6 +45,16 @@ def test_newton_is_a_bijection():
         assert newton_polynomial(region).terms == dict.fromkeys(region, 1)
 
 
+def test_newton_polynomial_matches_validated_build():
+    rng = random.Random(12)
+    for _ in range(60):
+        side = rng.randrange(1, 12)
+        region = frozenset((rng.randrange(side), rng.randrange(side))
+                           for _ in range(rng.randrange(0, 30)))
+        f = newton_polynomial(region)
+        assert f == Polynomial({cell: 1 for cell in region}) and f.nvars == 2
+
+
 def test_normalize_region():
     norm, shift = normalize_region(frozenset({(-1, 5)}))
     assert norm == frozenset({(0, 0)}) and shift == (1, -5)
