@@ -15,12 +15,11 @@ core) until the core is diagonal, so no dense matrix is built.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 from .groebner import buchberger, remainder
-from .intlin import axpy, echelon_insert
+from .intlin import echelon_insert, size_reduce
 from .polyring import Polynomial, mono_div, mono_divides
 from .tiling import Region, tile_generators
 
@@ -56,40 +55,18 @@ class AbelianGroup:
 
 def _echelon_core(rows) -> tuple[int, list[dict[int, int]]]:
     """Rank and non-unit core of sparse rows: echelonize, peel off unit
-    pivots and reduce the remaining core rows against the later pivots.
+    pivots and size-reduce the remaining core rows against the later pivots.
     The core rows come in ascending pivot order, each with a positive pivot
-    and no entry in a unit pivot column."""
+    and no entry in a unit pivot column (a residue modulo a unit is 0)."""
     pivots: dict[int, dict[int, int]] = {}
     for vec in rows:
         echelon_insert(pivots, dict(vec))
-    cols = sorted(pivots)
-    for j in cols:
-        if pivots[j][j] < 0:
-            pivots[j] = {k: -v for k, v in pivots[j].items()}
-    # Reduce each core row's entries in later pivot columns, walking the
-    # row's own entries in ascending column order.  A reducing row has a
-    # later pivot, so this pass has not changed it yet; a step adds entries
-    # only past the column it reduces, and they join the walk.  Unit pivot
-    # rows are peeled off as they stand.
     core_rows = []
-    for j2 in cols:
-        row = pivots[j2]
-        if row[j2] == 1:
-            continue
-        todo = [c for c in row if c > j2]
-        heapq.heapify(todo)
-        while todo:
-            j = heapq.heappop(todo)
-            piv = pivots.get(j)
-            if piv is None or j not in row:
-                continue
-            q = row[j] // piv[j]
-            if q:
-                for c in piv:
-                    if c not in row:
-                        heapq.heappush(todo, c)
-                axpy(row, -q, piv)
-        core_rows.append(row)
+    for j in sorted(pivots):
+        row = pivots[j]
+        if abs(row[j]) != 1:
+            size_reduce(pivots, row, j)
+            core_rows.append(row if row[j] > 0 else {k: -v for k, v in row.items()})
     return len(pivots), core_rows
 
 

@@ -1,7 +1,9 @@
 """Internal sparse integer linear algebra: echelon lattices over Z.
 
 Vectors are dicts mapping column index to nonzero value.  An echelon set maps
-each pivot column to a vector whose smallest column is that pivot.
+each pivot column to a vector whose smallest column is that pivot.  Every new
+pivot is size-reduced first by one routine, ``size_reduce``, which the Smith
+form's core pass also uses, so entries stay small (Kannan & Bachem, 1979).
 
 A caller that needs to know how each pivot was combined from the inserted
 vectors keeps a Combinations log beside the echelon set.  The vectors hold
@@ -15,7 +17,9 @@ only when the target lies in the lattice, once, in reverse creation order
 
 from __future__ import annotations
 
-from .groebner import xgcd
+import heapq
+
+from .polyring import coeff_divmod
 
 
 class Combinations:
@@ -44,6 +48,30 @@ def axpy(dst: dict[int, int], c: int, src: dict[int, int]) -> None:
             del dst[k]
 
 
+def size_reduce(pivots: dict[int, dict[int, int]], vec: dict[int, int], lead: int,
+                combos: Combinations | None = None,
+                steps: list[tuple[int, int]] | None = None) -> None:
+    """Reduce each entry of ``vec`` past column ``lead`` to the balanced
+    residue of the pivot in its column, in ascending column order.
+
+    A step adds entries only past the column it reduces, and they join the
+    walk.  With ``combos``, each step appends ``(-q, node)`` to ``steps``.
+    """
+    todo = [c for c in vec if c > lead and c in pivots]
+    heapq.heapify(todo)
+    while todo:
+        c = heapq.heappop(todo)
+        piv = pivots[c]
+        q = coeff_divmod(vec.get(c, 0), piv[c], "minabs")[0]
+        if q:
+            for k in piv:
+                if k not in vec and k in pivots:
+                    heapq.heappush(todo, k)
+            axpy(vec, -q, piv)
+            if combos is not None:
+                steps.append((-q, combos.node_of[c]))
+
+
 def echelon_insert(pivots: dict[int, dict[int, int]], vec: dict[int, int],
                    combos: Combinations | None = None,
                    steps: list[tuple[int, int]] | None = None) -> int | None:
@@ -57,40 +85,29 @@ def echelon_insert(pivots: dict[int, dict[int, int]], vec: dict[int, int],
     while vec:
         j = min(vec)
         piv = pivots.get(j)
+        if piv is not None:
+            # Exact when the pivot divides (the common, cheap case); otherwise
+            # to the balanced residue, which then replaces the pivot.
+            q, r = divmod(vec[j], piv[j])
+            if r:
+                q, r = coeff_divmod(vec[j], piv[j], "minabs")
+            if q:
+                axpy(vec, -q, piv)
+                if combos is not None:
+                    steps.append((-q, combos.node_of[j]))
+            if not r:
+                continue
+        # The one place a vector becomes a pivot: size-reduced, then logged.
+        size_reduce(pivots, vec, j, combos, steps)
+        pivots[j] = vec
+        if combos is not None:
+            old = combos.node_of.get(j)
+            combos.node_of[j] = combos.add(steps)
         if piv is None:
-            pivots[j] = vec
-            if combos is not None:
-                combos.node_of[j] = combos.add(steps)
             return j
-        a, b = piv[j], vec[j]
-        if b % a == 0:
-            q = b // a
-            axpy(vec, -q, piv)
-            if combos is not None:
-                steps.append((-q, combos.node_of[j]))
-        elif a % b == 0:
-            q = a // b
-            pivots[j] = vec
-            piv, vec = vec, piv
-            axpy(vec, -q, piv)
-            if combos is not None:
-                old = combos.node_of[j]
-                combos.node_of[j] = new = combos.add(steps)
-                steps = [(1, old), (-q, new)]
-        else:
-            g, u, v = xgcd(a, b)
-            new_piv: dict[int, int] = {}
-            axpy(new_piv, u, piv)
-            axpy(new_piv, v, vec)
-            new_vec: dict[int, int] = {}
-            axpy(new_vec, -(b // g), piv)
-            axpy(new_vec, a // g, vec)
-            pivots[j] = new_piv
-            vec = new_vec
-            if combos is not None:
-                old, cur = combos.node_of[j], combos.add(steps)
-                combos.node_of[j] = combos.add([(u, old), (v, cur)])
-                steps = [(-(b // g), old), (a // g, cur)]
+        # A remainder replaced the pivot, and the old pivot goes on against
+        # it: one step of Euclid's algorithm on column j.
+        vec, steps = piv, None if combos is None else [(1, old)]
     return None
 
 

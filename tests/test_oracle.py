@@ -5,10 +5,12 @@ import time
 
 import pytest
 
-from helpers import brute_minor_gcd
+from helpers import brute_minor_gcd, pinned_families
 from tilegb.bones import decide_nbone, nbone_prototiles
+from tilegb.cli import run
 from tilegb.oracle import hnf_solve, oracle_decide, placement_system
-from tilegb.tiling import verify_certificate
+from tilegb.tiling import (decide_signed_tiling, region_to_text, tile_reach,
+                           tiles_to_text, verify_certificate)
 
 
 def tri_region(m):
@@ -190,7 +192,6 @@ def test_oracle_concordance_with_residue_rule(n):
 def test_oracle_cross_validates_groebner_route():
     # The two decision paths are independent; a definitive answer from one
     # must never contradict the other on random small instances.
-    from tilegb.tiling import decide_signed_tiling
     rng = random.Random(2025)
     for _ in range(120):
         tiles = []
@@ -222,14 +223,40 @@ def test_oracle_certificate_has_one_placement_per_nonzero_entry():
                                                             system.placements) if z}
 
 
-def test_oracle_family_9_T3_margin_2_finishes():
+@pytest.mark.parametrize("m", range(3, 8))
+def test_oracle_family_9_T3_margin_2_finishes(m):
     # Family 9 of perfbench/pinned.json, a rotation-closed 4-cell polyhex
-    # set: its echelon grows integers of hundreds of thousands of bits, so
-    # any per-entry overhead in the solver multiplies.
+    # set: without size reduction of each new pivot its echelon grows
+    # integers of hundreds of thousands of bits on T(3), and T(4) does not
+    # finish.
     tiles = [frozenset({(0, 0), (0, 1), (1, 1), (2, 0)}),
              frozenset({(0, 0), (0, 2), (1, 0), (1, 1)}),
              frozenset({(0, 1), (0, 2), (1, 0), (2, 0)})]
     started = time.perf_counter()
-    decision = oracle_decide(tri_region(3), tiles, margin=2)
+    decision = oracle_decide(tri_region(m), tiles, margin=2)
     assert decision.status == "no_solution_in_box"
     assert time.perf_counter() - started < 10
+
+
+def test_oracle_agrees_with_decide_at_default_margin(tmp_path):
+    # The CLI's default margin, 2 * tile_reach, on every pinned family: an
+    # oracle yes must not meet a decide no, and every yes must verify.
+    # Without size reduction of each new pivot, the 3-cell region hangs on
+    # 12 of the 21 families.
+    three = frozenset({(1, 1), (2, 1), (1, 2)})
+    seen = set()
+    for tiles in pinned_families():
+        margin = 2 * tile_reach(tiles)
+        for region in (three, tri_region(3)):
+            decided = decide_signed_tiling(region, tiles).status
+            boxed = oracle_decide(region, tiles, margin)
+            assert not (boxed.solvable and decided == "no"), (region, tiles)
+            if boxed.solvable:
+                assert verify_certificate(boxed.certificate)
+            seen.add((decided, boxed.status))
+    assert {("yes", "yes"), ("no", "no_solution_in_box")} <= seen, seen
+    rpath, tpath = tmp_path / "three.region", tmp_path / "family9.tiles"
+    rpath.write_text(region_to_text(three))
+    tpath.write_text(tiles_to_text(pinned_families()[9]))
+    code_out = run(["oracle", "--region", str(rpath), "--tiles", str(tpath)])
+    assert code_out == (1, "NO_SOLUTION_IN_BOX\n")
