@@ -100,6 +100,25 @@ def _check_side(m: int) -> None:
         raise UsageError(f"--m {m} is above the limit of {MAX_SIDE}")
 
 
+def _side(cells) -> int:
+    """The longer side of the bounding box of ``cells`` (0 when empty)."""
+    return max((max(c) - min(c) + 1 for c in zip(*cells)), default=0)
+
+
+# Completion and division work on the Newton polynomials, whose degrees are
+# the bounding-box sides, and the oracle on every cell of its box: a region
+# with cells at (0, 0) and (100000, 0) ran decide out of memory.  decide,
+# oracle, homology --tiles and gb --tiles therefore refuse a region or
+# prototile with a side above MAX_SIDE, and oracle also a box side above it.
+def _check_extent(prototiles: list[tiling.Region], region: tiling.Region = frozenset()) -> None:
+    named = [("the region", region)] + [(f"prototile {k}", t) for k, t in enumerate(prototiles)]
+    for what, cells in named:
+        side = _side(cells)
+        if side > MAX_SIDE:
+            raise UsageError(f"{what} has a bounding-box side of {side}, "
+                             f"above the limit of {MAX_SIDE}")
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -145,6 +164,7 @@ def _cmd_decide(args, out: list[str]) -> int:
         raise UsageError("decide needs both --region and --tiles")
     region = tiling.parse_region_text(_read(args.region))
     prototiles = tiling.parse_tiles_text(_read(args.tiles))
+    _check_extent(prototiles, region)
     decision = tiling.decide_signed_tiling(region, prototiles, args.max_rounds)
     if decision.status == "yes":
         out.append("YES")
@@ -189,6 +209,7 @@ def _cmd_gb(args, out: list[str]) -> int:
     if args.n is not None:
         basis = bones.bone_system(args.n).basis
     else:
+        _check_extent(prototiles)
         basis = groebner.buchberger(tiling.tile_generators(prototiles), conv="nonneg")
     text = groebner.basis_to_text(basis)
     if args.out:
@@ -237,6 +258,8 @@ def _cmd_verify(args, out: list[str]) -> int:
 
 def _cmd_homology(args, out: list[str]) -> int:
     prototiles = _load_tiles(args)
+    if args.tiles is not None:
+        _check_extent(prototiles)
     stabilized = True
     if args.box is not None:
         group = homology.box_group(prototiles, args.box)
@@ -256,9 +279,14 @@ def _cmd_homology(args, out: list[str]) -> int:
 def _cmd_oracle(args, out: list[str]) -> int:
     region = tiling.parse_region_text(_read(args.region))
     prototiles = tiling.parse_tiles_text(_read(args.tiles))
+    _check_extent(prototiles, region)
     margin = args.margin
     if margin is None:
         margin = 2 * tiling.tile_reach(prototiles)
+    box = (_side(region) or 1) + 2 * margin
+    if box > MAX_SIDE:
+        raise UsageError(f"the box side {box} (the region's side plus twice the margin "
+                         f"{margin}) is above the limit of {MAX_SIDE}")
     decision = oracle.oracle_decide(region, prototiles, margin)
     if decision.solvable:
         out.append("YES")

@@ -1,9 +1,11 @@
-"""Strong Groebner bases over Z: division with cofactors, S- and G-polynomials,
-Buchberger completion and basis verification.
+"""Strong Groebner bases over Z: division, S- and G-polynomials, Buchberger
+completion, lifting quotients to cofactors, and basis verification.
 
 Over the integers a basis is *strong* when the leading term (coefficient
 included) of every nonzero ideal element is divisible by the leading term of
-some basis element; membership then reduces to a zero remainder.
+some basis element; membership then reduces to a zero remainder.  Completion
+runs once and logs how it made each element from the generators
+(intlin.Combinations); ``lift`` back-substitutes quotients through that log.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import heapq
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import lshift
 from typing import Sequence
 
+from .intlin import Combinations
 from .polyring import (CONVENTIONS, LEX, Mono, Polynomial, TermOrder,
                        coeff_divmod, format_poly, mono_div, mono_divides,
                        mono_lcm, pack, parse_poly, slot_shifts, unpack)
@@ -43,6 +46,7 @@ class GroebnerBasis:
 
     When ``cofactors`` is present, row i expresses elements[i] over
     ``generators``: elements[i] == sum(cofactors[i][j] * generators[j]).
+    Explicit rows become a one-level log, as ``buchberger`` keeps its own.
     ``verified`` records that strongness has been established (either by
     completion or by verify_strong_gb); ideal membership refuses to run
     without it.  A basis is frozen: no attribute can be reassigned, and only
@@ -57,6 +61,7 @@ class GroebnerBasis:
     generators: Sequence[Polynomial] | None = None
     cofactors: Sequence[Sequence[Polynomial]] | None = None
     verified: bool = False
+    _log: Combinations | None = field(default=None, compare=False, repr=False)
     _lts: tuple[tuple[Mono, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -68,6 +73,22 @@ class GroebnerBasis:
             raise ValueError(f"unknown coefficient convention {self.convention!r}")
         object.__setattr__(self, "_lts",
                            tuple(g.leading_term(self.order) for g in self.elements))
+        if self._log is None and self.cofactors is not None:
+            log = Combinations()
+            log.node_of = {i: log.add([(c, ~j) for j, c in enumerate(row) if c])
+                           for i, row in enumerate(self.cofactors)}
+            object.__setattr__(self, "_log", log)
+
+    def lift(self, quotients: Sequence[Polynomial]) -> list[Polynomial]:
+        """sum(quotients[i] * elements[i]) written over the generators, one
+        cofactor each, by one back-substitution through the log."""
+        if self._log is None or len(quotients) != len(self.elements):
+            raise ValueError("need a basis with a log and one quotient per element")
+        weight = [0] * len(self._log.nodes)
+        for i, q in enumerate(quotients):
+            weight[self._log.node_of[i]] = q
+        z = self._log.evaluate(weight)
+        return [z.get(j, Polynomial.zero(self.nvars)) for j in range(len(self.generators))]
 
     @property
     def nvars(self) -> int:
@@ -247,10 +268,10 @@ def remainder(f: Polynomial, G: GroebnerBasis, convention: str | None = None) ->
     return reduce(f, G, convention).remainder
 
 
-def _pair(vg: Sequence[Polynomial], vh: Sequence[Polynomial], lt_g: tuple[Mono, int],
-          lt_h: tuple[Mono, int], gcd_pair: bool) -> list[Polynomial]:
-    """a x^ma vg + b x^mb vh, slot by slot, for vectors whose first slots have
-    leading terms lt_g and lt_h.
+def _pair(lt_g: tuple[Mono, int], lt_h: tuple[Mono, int],
+          gcd_pair: bool) -> tuple[tuple[int, Mono], tuple[int, Mono]]:
+    """The term multipliers (a, x^ma) and (b, x^mb) of the pair
+    a x^ma g + b x^mb h, for g and h with leading terms lt_g and lt_h.
 
     For the S-pair a = L / LT(g) and b = -L / LT(h) as terms, with
     L = lcm(LC(g), LC(h)) * lcm(LM(g), LM(h)).  For the G-pair (gcd_pair)
@@ -267,8 +288,7 @@ def _pair(vg: Sequence[Polynomial], vh: Sequence[Polynomial], lt_g: tuple[Mono, 
         cl = math.lcm(gc, hc)
         a, b = cl // gc, -(cl // hc)
     ml = mono_lcm(gm, hm)
-    ma, mb = mono_div(ml, gm), mono_div(ml, hm)
-    return [p.mul_term(a, ma) + q.mul_term(b, mb) for p, q in zip(vg, vh)]
+    return (a, mono_div(ml, gm)), (b, mono_div(ml, hm))
 
 
 def s_polynomial(g: Polynomial, h: Polynomial, order: TermOrder = LEX) -> Polynomial:
@@ -276,7 +296,8 @@ def s_polynomial(g: Polynomial, h: Polynomial, order: TermOrder = LEX) -> Polyno
     L = lcm(LC(g), LC(h)) * lcm(LM(g), LM(h))."""
     if g.is_zero() or h.is_zero():
         raise ValueError("S-polynomial of the zero polynomial")
-    return _pair([g], [h], g.leading_term(order), h.leading_term(order), False)[0]
+    (a, ma), (b, mb) = _pair(g.leading_term(order), h.leading_term(order), False)
+    return g.mul_term(a, ma) + h.mul_term(b, mb)
 
 
 def g_polynomial(g: Polynomial, h: Polynomial, order: TermOrder = LEX) -> Polynomial:
@@ -287,22 +308,14 @@ def g_polynomial(g: Polynomial, h: Polynomial, order: TermOrder = LEX) -> Polyno
     to realize coefficient gcds that no S-polynomial can reach."""
     if g.is_zero() or h.is_zero():
         raise ValueError("G-polynomial of the zero polynomial")
-    return _pair([g], [h], g.leading_term(order), h.leading_term(order), True)[0]
+    (a, ma), (b, mb) = _pair(g.leading_term(order), h.leading_term(order), True)
+    return g.mul_term(a, ma) + h.mul_term(b, mb)
 
 
-def _divide(vec: list[Polynomial], vecs: Sequence[list[Polynomial]],
-            lts: Sequence[tuple[Mono, int]], order: TermOrder,
-            conv: str) -> list[Polynomial]:
-    """Divide the first slot of vec by the first slots of vecs; each quotient
-    takes its multiple of that vector off the remaining slots too."""
-    nvars = vec[0].nvars
-    qs, rem = _reduce_raw(vec[0].terms, nvars, [v[0] for v in vecs], lts, order, conv)
-    row = vec[1:]
-    for q, v in zip(qs, vecs):
-        if q:
-            qp = Polynomial._make(q, nvars)
-            row = [rc - qp * vc for rc, vc in zip(row, v[1:])]
-    return [Polynomial._make(rem, nvars), *row]
+def _quotient_steps(quotients: list[dict[Mono, int]], ids: Sequence[int],
+                    nvars: int) -> list[tuple[Polynomial, int]]:
+    """Log steps (-q, node) for the nonzero division quotients."""
+    return [(-Polynomial._make(q, nvars), k) for q, k in zip(quotients, ids) if q]
 
 
 def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
@@ -316,21 +329,22 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
     The final basis is sign-normalized, purged of term-redundant elements,
     tail-reduced and sorted by descending leading monomial.
 
-    Each element is carried as one vector: the polynomial, then its cofactor
-    row over the generators (empty unless track_cofactors).  Every step acts
-    on the whole vector, so the rows cannot drift from the elements.
+    Each element logs how it was made as a node: a pair's two term
+    multipliers and (-q, node) per division quotient, a sign flip (-1, node),
+    a tail reduction (1, node) and its quotients.  The basis keeps the log
+    for ``lift``; with track_cofactors, row i of ``cofactors`` lifts element i.
     """
     if not generators:
         raise ValueError("empty generator list")
     if any(g.is_zero() for g in generators):
         raise ValueError("zero generator")
     nvars = generators[0].nvars
-    k = len(generators) if track_cofactors else 0
-    vecs = [[g, *(Polynomial.constant(int(i == j), nvars) for j in range(k))]
-            for i, g in enumerate(generators)]
-    lts = [g.leading_term(order) for g in generators]
+    polys = list(generators)
+    lts = [g.leading_term(order) for g in polys]
+    log = Combinations()
+    ids = [log.add([(1, ~j)]) for j in range(len(polys))]  # each element's node
 
-    queue: deque[tuple[int, int]] = deque((i, j) for j in range(len(vecs)) for i in range(j))
+    queue: deque[tuple[int, int]] = deque((i, j) for j in range(len(polys)) for i in range(j))
     while queue:
         i, j = queue.popleft()
         (mi, ci), (mj, cj) = lts[i], lts[j]
@@ -340,18 +354,22 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
                                  (True, not one_divides)):
             if not wanted:
                 continue
-            vec = _pair(vecs[i], vecs[j], lts[i], lts[j], gcd_pair)
-            if vec[0]:
-                vec = _divide(vec, vecs, lts, order, conv)
-            if vec[0]:
-                vecs.append(vec)
-                lts.append(vec[0].leading_term(order))
-                queue.extend((s, len(vecs) - 1) for s in range(len(vecs) - 1))
+            (a, ma), (b, mb) = _pair(lts[i], lts[j], gcd_pair)
+            p = polys[i].mul_term(a, ma) + polys[j].mul_term(b, mb)
+            qs, rem = _reduce_raw(p.terms, nvars, polys, lts, order, conv)
+            if rem:
+                polys.append(Polynomial._make(rem, nvars))
+                lts.append(polys[-1].leading_term(order))
+                ids.append(log.add([(Polynomial._make({ma: a}, nvars), ids[i]),
+                                    (Polynomial._make({mb: b}, nvars), ids[j]),
+                                    *_quotient_steps(qs, ids, nvars)]))
+                queue.extend((s, len(polys) - 1) for s in range(len(polys) - 1))
 
     # Sign-normalize so leading coefficients are positive.
     for t, (m, c) in enumerate(lts):
         if c < 0:
-            vecs[t] = [-p for p in vecs[t]]
+            polys[t] = -polys[t]
+            ids[t] = log.add([(-1, ids[t])])
             lts[t] = (m, -c)
 
     # Drop elements whose leading term is term-divisible by another's.
@@ -359,23 +377,31 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
             if not any(mono_divides(ms, mt) and ct % cs == 0 and ((ms, cs) != lts[t] or s < t)
                        for s, (ms, cs) in enumerate(lts) if s != t)]
     keep.sort(key=lambda t: order.key(lts[t][0]), reverse=True)
-    vecs = [vecs[t] for t in keep]
+    polys = [polys[t] for t in keep]
     lts = [lts[t] for t in keep]
+    ids = [ids[t] for t in keep]
 
     # Tail-reduce each element by the others; leading terms are untouched, so
     # strongness is preserved and the output is stable.
     for t, (gm, gc) in enumerate(lts):
-        tail = dict(vecs[t][0].terms)
+        tail = dict(polys[t].terms)
         del tail[gm]
-        vec = _divide([Polynomial._make(tail, nvars), *vecs[t][1:]],
-                      vecs[:t] + vecs[t + 1:], lts[:t] + lts[t + 1:], order, conv)
-        vec[0] = Polynomial._make({**vec[0].terms, gm: gc}, nvars)
-        vecs[t] = vec
+        qs, rem = _reduce_raw(tail, nvars, polys[:t] + polys[t + 1:], lts[:t] + lts[t + 1:],
+                              order, conv)
+        steps = _quotient_steps(qs, ids[:t] + ids[t + 1:], nvars)
+        if steps:
+            ids[t] = log.add([(1, ids[t]), *steps])
+        polys[t] = Polynomial._make({**rem, gm: gc}, nvars)
 
-    return GroebnerBasis([v[0] for v in vecs], order, conv,
-                         generators=list(generators) if track_cofactors else None,
-                         cofactors=[v[1:] for v in vecs] if track_cofactors else None,
-                         verified=True)
+    log.node_of = dict(enumerate(ids))
+    basis = GroebnerBasis(polys, order, conv, generators=list(generators), verified=True,
+                          _log=log)
+    if not track_cofactors:
+        return basis
+    unit = Polynomial.constant(1, nvars)
+    rows = [basis.lift([unit if s == t else 0 for s in range(len(polys))])
+            for t in range(len(polys))]
+    return replace(basis, cofactors=rows)
 
 
 @dataclass

@@ -12,7 +12,8 @@ a list of (coef, child) steps, where the child is an earlier node id or ~c
 for original vector c, and each pivot carries the id of its node.  A vector
 that reduces to zero drops its steps.  lattice_express evaluates the nodes
 only when the target lies in the lattice, once, in reverse creation order
-(back-substitution, as with the transform of a Hermite form).
+(back-substitution, as with the transform of a Hermite form).  Completion
+logs its basis elements the same way, and ``evaluate`` serves both.
 """
 
 from __future__ import annotations
@@ -34,6 +35,21 @@ class Combinations:
     def add(self, steps: list[tuple[int, int]]) -> int:
         self.nodes.append(steps)
         return len(self.nodes) - 1
+
+    def evaluate(self, weight: list) -> dict[int, object]:
+        """``{original c: coefficient}`` of the combination with ``weight[k]``
+        on node k, by one back-substitution in reverse creation order, which
+        uses up ``weight``.  Weights and coefficients are ints or polynomials."""
+        z: dict[int, object] = {}
+        for k in range(len(weight) - 1, -1, -1):
+            w = weight[k]
+            if w:
+                for coef, child in self.nodes[k]:
+                    if child >= 0:
+                        weight[child] += w * coef
+                    else:
+                        z[~child] = z.get(~child, 0) + w * coef
+        return z
 
 
 def axpy(dst: dict[int, int], c: int, src: dict[int, int]) -> None:
@@ -126,13 +142,4 @@ def lattice_express(pivots: dict[int, dict[int, int]], combos: Combinations,
         q = vec[j] // piv[j]
         axpy(vec, -q, piv)
         weight[combos.node_of[j]] = q
-    z: dict[int, int] = {}
-    for k in range(len(weight) - 1, -1, -1):
-        w = weight[k]
-        if w:
-            for coef, child in combos.nodes[k]:
-                if child >= 0:
-                    weight[child] += w * coef
-                else:
-                    z[~child] = z.get(~child, 0) + w * coef
-    return {c: v for c, v in z.items() if v}
+    return {c: v for c, v in combos.evaluate(weight).items() if v}

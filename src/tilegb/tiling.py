@@ -105,21 +105,17 @@ def verified_certificate(prototiles: list[Region], region: Region,
     return cert
 
 
-def _certificate_from_quotients(quotients: list[Polynomial],
-                                cofactor_rows: list[list[Polynomial]],
-                                prototiles: list[Region], region: Region,
-                                offsets: list[Cell]) -> Certificate:
-    """Certificate from a zero-remainder division: the quotients times the
-    basis cofactor rows give one cofactor per prototile, and each cofactor
-    term c * x^a y^b becomes one placement of weight c, shifted by the tile's
+def _lifted_certificate(G: groebner.GroebnerBasis, quotients: list[Polynomial],
+                        prototiles: list[Region], region: Region,
+                        offsets: list[Cell]) -> Certificate:
+    """Certificate from a zero-remainder division by G: the quotients lift to
+    one cofactor per prototile (G's generators), and each cofactor term
+    c * x^a y^b becomes one placement of weight c, shifted by the tile's
     offset."""
-    cof = [Polynomial.zero() for _ in prototiles]
-    for q, row in zip(quotients, cofactor_rows):
-        if q:
-            cof = [c + q * rc for c, rc in zip(cof, row)]
     return verified_certificate(prototiles, region,
                                 ((tile_index, (a + oi, b + oj), c)
-                                 for tile_index, (cf, (oi, oj)) in enumerate(zip(cof, offsets))
+                                 for tile_index, (cf, (oi, oj))
+                                 in enumerate(zip(G.lift(quotients), offsets))
                                  for (a, b), c in sorted(cf.terms.items())))
 
 
@@ -143,15 +139,15 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
                          max_rounds: int = 8) -> TilingDecision:
     """Decide signed tilability of ``region`` by translates of ``prototiles``.
 
-    Completes a strong basis of the prototile ideal without cofactor rows,
-    then tests membership of (xy)^(t*D) * f_region for t = 0..max_rounds,
-    where D is one more than the largest prototile extent (a cofinal test
-    sequence).  Round 0 takes the normal form r_0 of f_region (folded by the
-    variable periods); round t takes r_t = NF((xy)^D * r_(t-1)), which is
-    NF((xy)^(t*D) * f_region) because a strong basis gives unique normal
-    forms.  Only when some r_t is zero is the basis completed again with
-    cofactor rows (the same elements), and (xy)^(t*D) * f_region divided with
-    quotients for the certificate.  The answer 'no' is definitive only when
+    Completes a strong basis of the prototile ideal once, then tests
+    membership of (xy)^(t*D) * f_region for t = 0..max_rounds, where D is one
+    more than the largest prototile extent (a cofinal test sequence).  Round
+    0 takes the normal form r_0 of f_region (folded by the variable periods);
+    round t takes r_t = NF((xy)^D * r_(t-1)), which is NF((xy)^(t*D) *
+    f_region) because a strong basis gives unique normal forms.  Only when
+    some r_t is zero is (xy)^(t*D) * f_region divided with quotients, which
+    the basis lifts through its completion log to cofactors over the
+    prototiles for the certificate.  The answer 'no' is definitive only when
     every variable is provably invertible modulo the ideal: either some pure
     power x^a (resp. y^a) is congruent to 1, or the variable occurs in no
     prototile.
@@ -180,19 +176,17 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
             nf = groebner.remainder(nf.mul_term(1, (d, d)), G)
         if not nf.is_zero():
             continue
-        tracked = buchberger(gens, LEX, "nonneg", track_cofactors=True)
-        res = groebner.reduce(f_region.mul_term(1, (t * d, t * d)), tracked)
-        shift_back = (-t * d - ri, -t * d - rj)
-        total_offsets = [(oi + shift_back[0], oj + shift_back[1]) for oi, oj in offsets]
-        cert = _certificate_from_quotients(res.quotients, tracked.cofactors, prototiles,
-                                           region, total_offsets)
-        return TilingDecision("yes", cert)
+        res = groebner.reduce(f_region.mul_term(1, (t * d, t * d)), G)
+        shifted = [(oi - t * d - ri, oj - t * d - rj) for oi, oj in offsets]
+        return TilingDecision("yes", _lifted_certificate(G, res.quotients, prototiles,
+                                                         region, shifted))
     return TilingDecision("no" if decisive else "inconclusive")
 
 
 def certificate_nbone(m: int, n: int) -> Certificate:
-    """Signed-tiling certificate for the side-m triangle by n-bones, built by
-    cofactor-tracked division against the explicit strong basis."""
+    """Signed-tiling certificate for the side-m triangle by n-bones: the
+    quotients of a division by the explicit strong basis, lifted through its
+    cofactor rows."""
     if not bones.decide_nbone(m, n):
         raise ValueError(f"triangle of side {m} admits no signed tiling by {n}-bones")
     bs = bones.bone_system(n)
@@ -202,8 +196,8 @@ def certificate_nbone(m: int, n: int) -> Certificate:
         raise RuntimeError("internal error: admissible triangle did not reduce to zero")
     region = frozenset(t.terms)
     del t  # its term map is as large as the region; free it before the cofactors
-    return _certificate_from_quotients(res.quotients, bs.basis.cofactors,
-                                       bones.nbone_prototiles(n), region, [(0, 0)] * 3)
+    return _lifted_certificate(bs.basis, res.quotients, bones.nbone_prototiles(n), region,
+                               [(0, 0)] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +209,13 @@ def region_to_text(region: Region) -> str:
 
 
 def parse_region_text(text: str) -> Region:
+    return _parse_cells(enumerate(text.splitlines(), 1))
+
+
+def _parse_cells(numbered: Iterable[tuple[int, str]]) -> Region:
+    """Cells from ``(line number, line)`` pairs; errors name the line."""
     cells = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in numbered:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -235,16 +234,16 @@ def tiles_to_text(tiles: list[Region]) -> str:
 
 
 def parse_tiles_text(text: str) -> list[Region]:
-    """Blocks of region lines separated by blank lines, one per prototile."""
-    blocks: list[list[str]] = [[]]
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+    """Blocks of region lines separated by blank lines, one per prototile;
+    errors name the line of the file."""
+    blocks: list[list[tuple[int, str]]] = [[]]
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.split("#", 1)[0].strip():
             if blocks[-1]:
                 blocks.append([])
             continue
-        blocks[-1].append(raw)
-    tiles = [parse_region_text("\n".join(b)) for b in blocks if b]
+        blocks[-1].append((lineno, raw))
+    tiles = [_parse_cells(b) for b in blocks if b]
     if not tiles:
         raise ValueError("no prototiles in tiles file")
     return tiles

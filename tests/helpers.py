@@ -9,9 +9,8 @@ from pathlib import Path
 from tilegb.groebner import buchberger, reduce
 from tilegb.homology import AbelianGroup, snf
 from tilegb.polyring import LEX, Polynomial
-from tilegb.tiling import (TilingDecision, _certificate_from_quotients,
-                           newton_polynomial, normalize_region, tile_generators,
-                           tile_reach)
+from tilegb.tiling import (TilingDecision, newton_polynomial, normalize_region,
+                           tile_generators, tile_reach, verified_certificate)
 
 PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json"
 
@@ -116,7 +115,8 @@ def periods_by_definition(G):
 def decide_by_full_division(region, prototiles, max_rounds=8):
     """The signed-tiling decision computed the long way: one completion with
     cofactor rows, then in each round t a full division, with quotients, of
-    (xy)^(t*D) * f_region (round 0 alone when both variables are tame)."""
+    (xy)^(t*D) * f_region (round 0 alone when both variables are tame).  A
+    zero remainder's cofactors are the forward sum of quotient times row."""
     gens = tile_generators(prototiles)
     G = buchberger(gens, LEX, "nonneg", track_cofactors=True)
     d = tile_reach(prototiles)
@@ -128,7 +128,12 @@ def decide_by_full_division(region, prototiles, max_rounds=8):
     for t in range(1 if decisive else max_rounds + 1):
         res = reduce(f_region.mul_term(1, (t * d, t * d)), G)
         if res.remainder.is_zero():
-            shifted = [(oi - t * d - ri, oj - t * d - rj) for oi, oj in offsets]
-            return TilingDecision("yes", _certificate_from_quotients(
-                res.quotients, G.cofactors, prototiles, region, shifted))
+            cof = [Polynomial.zero() for _ in prototiles]
+            for q, row in zip(res.quotients, G.cofactors):
+                cof = [c + q * rc for c, rc in zip(cof, row)]
+            return TilingDecision("yes", verified_certificate(
+                prototiles, region,
+                ((k, (a + oi - t * d - ri, b + oj - t * d - rj), c)
+                 for k, (cf, (oi, oj)) in enumerate(zip(cof, offsets))
+                 for (a, b), c in sorted(cf.terms.items()))))
     return TilingDecision("no" if decisive else "inconclusive")

@@ -360,6 +360,40 @@ def test_triangle_side_above_limit_is_usage_error(capsys, argv):
     assert capsys.readouterr().err == "error: --m 1000000 is above the limit of 1024\n"
 
 
+WIDE = [(0, 0), (100000, 0)]
+L_TROMINO = [(0, 0), (1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("argv", (
+    ["decide", "--region", "{wide}", "--tiles", "{L}"],
+    ["decide", "--region", "{small}", "--tiles", "{wide}"],
+    ["oracle", "--region", "{wide}", "--tiles", "{L}", "--margin", "2"],
+    ["oracle", "--region", "{small}", "--tiles", "{wide}"],
+    ["oracle", "--region", "{small}", "--tiles", "{L}", "--margin", "512"],
+    ["homology", "--tiles", "{wide}"],
+    ["gb", "--tiles", "{wide}"],
+))
+def test_wide_region_or_tile_is_usage_error(tmp_path, capsys, argv):
+    # A region or prototile with a bounding-box side above 1024 (or an oracle
+    # box above it) is refused before any work; the wide region once ran
+    # decide out of memory.
+    paths = {"wide": region_file(tmp_path, "wide.txt", WIDE),
+             "L": region_file(tmp_path, "L.tiles", L_TROMINO),
+             "small": region_file(tmp_path, "small.region", [(0, 0)])}
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run([arg.format(**paths) for arg in argv]) == (2, "")
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_extent_limit_is_inclusive(tmp_path):
+    edge = region_file(tmp_path, "edge.tiles", [(0, 0), (1023, 0)])
+    cell = region_file(tmp_path, "cell.region", [(0, 0)])
+    assert run(["gb", "--tiles", edge])[0] == 0
+    assert run(["oracle", "--region", edge, "--tiles", cell, "--margin", "0"])[0] == 0
+
+
 def test_unfolded_reduce_refuses_large_exponents(tmp_path, capsys):
     bpath = str(tmp_path / "basis.txt")
     assert run(["gb", "--n", "3", "--out", bpath])[0] == 0

@@ -323,6 +323,39 @@ def test_buchberger_random_inputs_verify():
                 assert reduce(g, basis).remainder.is_zero()
 
 
+def _lift_cases():
+    rng = random.Random(14)
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    for _ in range(12):
+        tiles = [frozenset(rng.sample(cells, rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 3))]
+        for conv in CONVENTIONS:
+            yield buchberger(tile_generators(tiles), conv=conv)
+    for n in range(2, 6):
+        yield bone_system(n).basis
+
+
+def test_lift_writes_quotient_sums_over_the_generators():
+    # sum_j lift(q)[j] * gen[j] == sum_i q[i] * element[i], on completed bases
+    # (their log) and on the shared bone bases (their explicit rows).
+    rng = random.Random(41)
+    for basis in _lift_cases():
+        log = basis._log
+        before = ([list(node) for node in log.nodes], dict(log.node_of))
+        for _ in range(4):
+            qs = [random_poly(rng, max_degree=3, max_terms=3, coeff_bound=5)
+                  if rng.random() < 0.6 else Polynomial.zero() for _ in basis.elements]
+            cof = basis.lift(qs)
+            assert len(cof) == len(basis.generators)
+            assert (expand(cof, basis.generators, Polynomial.zero())
+                    == expand(qs, basis.elements, Polynomial.zero()))
+        assert ([list(node) for node in log.nodes], dict(log.node_of)) == before
+    with pytest.raises(ValueError):
+        bone_system(3).basis.lift([Polynomial.zero()])
+    with pytest.raises(ValueError):
+        GroebnerBasis([parse_poly("1 + x")]).lift([Polynomial.constant(1)])
+
+
 # ---------------------------------------------------------------------------
 # verification and membership
 

@@ -189,9 +189,11 @@ def test_oracle_concordance_with_residue_rule(n):
             assert verify_certificate(decision.certificate)
 
 
-def test_oracle_cross_validates_groebner_route():
+@pytest.mark.parametrize("margin", range(2, 9))
+def test_oracle_cross_validates_groebner_route(margin):
     # The two decision paths are independent; a definitive answer from one
-    # must never contradict the other on random small instances.
+    # must never contradict the other on random small instances, whatever
+    # the box margin.
     rng = random.Random(2025)
     for _ in range(120):
         tiles = []
@@ -205,7 +207,7 @@ def test_oracle_cross_validates_groebner_route():
         region = frozenset((i, j) for i in range(3) for j in range(3)
                            if rng.random() < 0.4)
         decision = decide_signed_tiling(region, tiles, max_rounds=3)
-        boxed = oracle_decide(region, tiles, margin=4)
+        boxed = oracle_decide(region, tiles, margin)
         if decision.status == "no":
             assert not boxed.solvable, (region, tiles)
         if boxed.solvable:
