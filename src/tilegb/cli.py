@@ -95,25 +95,32 @@ MAX_SIDE = 1024
 MAX_EXPONENT = MAX_SIDE ** 2
 
 
+# oracle builds one unknown per placement and one equation per cell of its
+# box: a 1023 x 1023 box took 11 s and 1.1 GB, a 255 x 255 box about 0.5 s
+# and 84 MB.  The side limit alone bounds only thin boxes.
+MAX_BOX_CELLS = 256 ** 2
+
+
 def _check_side(m: int) -> None:
     if m > MAX_SIDE:
         raise UsageError(f"--m {m} is above the limit of {MAX_SIDE}")
 
 
-def _side(cells) -> int:
-    """The longer side of the bounding box of ``cells`` (0 when empty)."""
-    return max((max(c) - min(c) + 1 for c in zip(*cells)), default=0)
+def _spans(cells) -> list[int]:
+    """Width and height of the bounding box of ``cells`` (1 by 1 when empty)."""
+    return [max(c) - min(c) + 1 for c in zip(*cells)] or [1, 1]
 
 
 # Completion and division work on the Newton polynomials, whose degrees are
 # the bounding-box sides, and the oracle on every cell of its box: a region
 # with cells at (0, 0) and (100000, 0) ran decide out of memory.  decide,
 # oracle, homology --tiles and gb --tiles therefore refuse a region or
-# prototile with a side above MAX_SIDE, and oracle also a box side above it.
+# prototile with a side above MAX_SIDE, and oracle also a box side above it
+# or a box of more than MAX_BOX_CELLS cells.
 def _check_extent(prototiles: list[tiling.Region], region: tiling.Region = frozenset()) -> None:
     named = [("the region", region)] + [(f"prototile {k}", t) for k, t in enumerate(prototiles)]
     for what, cells in named:
-        side = _side(cells)
+        side = max(_spans(cells))
         if side > MAX_SIDE:
             raise UsageError(f"{what} has a bounding-box side of {side}, "
                              f"above the limit of {MAX_SIDE}")
@@ -283,10 +290,16 @@ def _cmd_oracle(args, out: list[str]) -> int:
     margin = args.margin
     if margin is None:
         margin = 2 * tiling.tile_reach(prototiles)
-    box = (_side(region) or 1) + 2 * margin
+    if margin < 0:
+        raise UsageError("negative margin")
+    width, height = (s + 2 * margin for s in _spans(region))
+    box = max(width, height)
     if box > MAX_SIDE:
         raise UsageError(f"the box side {box} (the region's side plus twice the margin "
                          f"{margin}) is above the limit of {MAX_SIDE}")
+    if width * height > MAX_BOX_CELLS:
+        raise UsageError(f"the box of {width} x {height} = {width * height} cells is above "
+                         f"the limit of {MAX_BOX_CELLS} cells")
     decision = oracle.oracle_decide(region, prototiles, margin)
     if decision.solvable:
         out.append("YES")

@@ -257,13 +257,17 @@ def remainder(f: Polynomial, G: GroebnerBasis, convention: str | None = None) ->
     _checked_convention(f, G, convention)
     periods = G.periods if G.verified else ()
     if any(periods):
-        if min(map(min, f.terms), default=0) < 0:
+        # One exponent column per variable, checked and reduced by one call or
+        # comprehension each, so that no call runs per term.
+        cols = list(zip(*f.terms))
+        if min(map(min, cols), default=0) < 0:
             raise ValueError("negative exponent; division needs exponents >= 0")
-        mods = [a or f.max_exponent(v) + 1 for v, a in enumerate(periods)]
+        mods = [a or max(col) + 1 for col, a in zip(cols, periods)]
+        cols = [[e % a for e in col] for col, a in zip(cols, mods)]
         folded: dict[Mono, int] = {}
-        for m, c in f.terms.items():
-            m = tuple(map(operator.mod, m, mods))
-            folded[m] = folded.get(m, 0) + c
+        get = folded.get
+        for m, c in zip(zip(*cols), f.terms.values()):
+            folded[m] = get(m, 0) + c
         f = Polynomial._make({m: c for m, c in folded.items() if c}, f.nvars)
     return reduce(f, G, convention).remainder
 

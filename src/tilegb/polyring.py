@@ -10,6 +10,17 @@ encodes a monomial as ``sum(map(lshift, mono, shifts))`` and ``unpack``
 decodes.  The codec is exact only while every exponent met fits its slot,
 so each caller sizes the width from its inputs, and a negative exponent,
 which fits no slot, is refused.
+
+``parse_poly`` reads text in one split-and-memo pass.  String methods cut
+the text into terms at '+'/'-' and each term at its first '*'.  Each
+distinct head (sign and first factor, e.g. "-3" or " x^12") and tail (the
+factors after it, e.g. "y^5 ") is checked and converted once per call,
+through dicts that live for that call only, so a term costs a few dict
+lookups and one dict update: a side-m triangle has m^2 terms but about 2m
+distinct heads and tails.  Text this pass refuses, and an integer past
+the interpreter's int/str digit limit, go to ``_parse_error``.  It scans
+the grammar with ``_STEP`` term by term, builds nothing, and only finds
+the position to report.
 """
 
 from __future__ import annotations
@@ -370,42 +381,107 @@ def format_poly(p: Polynomial) -> str:
 # operator still waiting for its operand (group "wait").  Matching term by
 # term keeps memory flat: one match over the whole text keeps a backtracking
 # frame per repetition (27 MB for the side-192 triangle).
-_FACTOR = r"\s*[xy](?:\s*\^\s*\d+)?"
+_FACTOR = r"\s*([xy])(?:\s*\^\s*(\d+))?"
 _STEP = re.compile(rf"(?P<sign>^\s*[+-]?|\s*[+-])(?P<term>(?:\s*\d+|{_FACTOR})"
                    rf"(?:\s*\*{_FACTOR})*(?P<wait>(?<=[xy])\s*\^|\s*\*)?)?\s*")
+# One factor, and a term up to its first '*' (its sign and first factor):
+# the groups of _FACTOR are the variable and its exponent.
+_POWER = re.compile(_FACTOR + r"\s*")
+_HEAD = re.compile(rf"(-?)(?:\s*(\d+)|{_FACTOR})\s*")
+_DIGITS = re.compile(r"\d+")
+
+
+def _power(text: str) -> tuple[int, int]:
+    """Exponents (i, j) of one x/y factor, e.g. " y ^ 12" -> (0, 12)."""
+    m = _POWER.fullmatch(text)
+    if not m:
+        raise ValueError(text)
+    e = int(m[2] or 1)
+    return (e, 0) if m[1] == "x" else (0, e)
+
+
+def _head(text: str) -> tuple[int, int, int]:
+    """(coefficient, i, j) of a term up to its first '*', with the term's
+    sign: "-3" -> (-3, 0, 0), " x^2" -> (1, 2, 0)."""
+    m = _HEAD.fullmatch(text)
+    if not m:
+        raise ValueError(text)
+    sign, coeff, var, exp = m.groups()
+    c = -1 if sign else 1
+    if coeff:
+        return c * int(coeff), 0, 0
+    e = int(exp or 1)
+    return (c, e, 0) if var == "x" else (c, 0, e)
+
+
+def _tail(text: str) -> tuple[int, int]:
+    """Summed exponents of the factors after a term's first '*'; a
+    coefficient may not appear there."""
+    if "*" not in text:
+        return _power(text)
+    i = j = 0
+    for factor in text.split("*"):
+        a, b = _power(factor)
+        i += a
+        j += b
+    return i, j
 
 
 def parse_poly(text: str) -> Polynomial:
     """Parse the canonical grammar (inverse of format_poly).  Malformed text
     raises PolyParseError at the first position no valid polynomial can
     continue from."""
+    marked = text.replace("-", "+-")
+    pieces = marked.split("+")  # one term each, '-' kept as its sign
+    if not pieces[0].strip():  # the text opens with a sign, or is blank
+        del pieces[0]
     data: dict[Mono, int] = {}
+    get = data.get
+    heads: dict[str, tuple[int, int, int]] = {}
+    tails: dict[str, tuple[int, int]] = {"": (0, 0)}
+    head_of, tail_of = heads.get, tails.get
+    try:
+        # An empty tail is either no '*' or a '*' at the end of its term.
+        if not pieces or "*+" in marked or marked.endswith("*"):
+            raise ValueError(text)
+        for piece in pieces:
+            head, _, tail = piece.partition("*")
+            h = head_of(head)
+            if h is None:
+                h = heads[head] = _head(head)
+            t = tail_of(tail)
+            if t is None:
+                t = tails[tail] = _tail(tail)
+            c, i, j = h
+            a, b = t
+            mono = (i + a, j + b)
+            c += get(mono, 0)
+            if c:
+                data[mono] = c
+            else:
+                data.pop(mono, None)
+    except ValueError:  # refused, or an integer past the int/str digit limit
+        raise _parse_error(text) from None
+    return Polynomial._make(data, 2)
+
+
+def _parse_error(text: str) -> PolyParseError:
+    """The error for a text parse_poly refused: scan it term by term with
+    _STEP and convert each integer, as far as the first failure."""
     pos = 0
     while True:
         m = _STEP.match(text, pos)
         if m:
             pos = m.end()
         if not m or not m["term"] or m["wait"]:
-            raise PolyParseError(f"unexpected {text[pos]!r}" if pos < len(text)
-                                 else "incomplete polynomial", pos)
-        coeff = -1 if m["sign"].endswith("-") else 1
-        i = j = 0
+            return PolyParseError(f"unexpected {text[pos]!r}" if pos < len(text)
+                                  else "incomplete polynomial", pos)
+        term = m["term"]
         try:
-            for factor in "".join(m["term"].split()).split("*"):
-                if factor[0] == "x":
-                    i += int(factor[2:] or 1)
-                elif factor[0] == "y":
-                    j += int(factor[2:] or 1)
-                else:
-                    coeff *= int(factor)
+            for digits in _DIGITS.findall(term):
+                int(digits)
         except ValueError:  # an integer past the interpreter's int/str digit limit
-            term = m["term"]
-            raise PolyParseError("integer too long",
-                                 m.start("term") + len(term) - len(term.lstrip())) from None
-        c = data.get((i, j), 0) + coeff
-        if c:
-            data[i, j] = c
-        else:
-            data.pop((i, j), None)
+            return PolyParseError("integer too long",
+                                  m.start("term") + len(term) - len(term.lstrip()))
         if pos == len(text):
-            return Polynomial._make(data, 2)
+            raise RuntimeError(f"parse_poly refused valid text {text[:80]!r}")

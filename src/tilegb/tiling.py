@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from . import bones, groebner
@@ -204,7 +205,7 @@ def certificate_nbone(m: int, n: int) -> Certificate:
 # file formats
 
 def region_to_text(region: Region) -> str:
-    lines = [f"{i} {j}" for i, j in sorted(region, key=lambda c: (c[1], c[0]))]
+    lines = [f"{i} {j}" for i, j in sorted(region, key=itemgetter(1, 0))]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -370,13 +370,15 @@ L_TROMINO = [(0, 0), (1, 0), (0, 1)]
     ["oracle", "--region", "{wide}", "--tiles", "{L}", "--margin", "2"],
     ["oracle", "--region", "{small}", "--tiles", "{wide}"],
     ["oracle", "--region", "{small}", "--tiles", "{L}", "--margin", "512"],
+    ["oracle", "--region", "{small}", "--tiles", "{small}", "--margin", "511"],
     ["homology", "--tiles", "{wide}"],
     ["gb", "--tiles", "{wide}"],
 ))
 def test_wide_region_or_tile_is_usage_error(tmp_path, capsys, argv):
     # A region or prototile with a bounding-box side above 1024 (or an oracle
-    # box above it) is refused before any work; the wide region once ran
-    # decide out of memory.
+    # box above it, or one of more than 65,536 cells) is refused before any
+    # work; the wide region once ran decide out of memory, and the one-cell
+    # tile at margin 511 (a 1023 x 1023 box) took 11 s and 1.1 GB.
     paths = {"wide": region_file(tmp_path, "wide.txt", WIDE),
              "L": region_file(tmp_path, "L.tiles", L_TROMINO),
              "small": region_file(tmp_path, "small.region", [(0, 0)])}

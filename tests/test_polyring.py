@@ -72,7 +72,11 @@ def _check_products(a, b):
 
 
 @pytest.mark.parametrize("nvars", (1, 2, 3))
-@pytest.mark.parametrize("base", (0, 2 ** 64 - 2, 10 ** 700))
+# The ids are written out because pytest would build them with str(), which
+# refuses 10 ** 700 under the lowest int/str digit limit (640), and the whole
+# module would then fail to collect.
+@pytest.mark.parametrize("base", (0, 2 ** 64 - 2, 10 ** 700),
+                         ids=("0", "18446744073709551614", "1" + "0" * 700))
 def test_product_matches_schoolbook(nvars, base):
     # Exponents near 0, just below and past 2^64, and past 10^700 (as in the
     # digit-limit format test); few distinct exponents, so products cancel.
@@ -238,11 +242,56 @@ def test_format_examples():
     ("3 * z", 4),
     ("x*3", 2),
     ("x y", 2),
+    ("1 2", 2),
+    ("x^1 2", 4),
+    ("3 x", 2),
+    ("+", 1),
+    ("x + - y", 4),
+    ("x +\n", 4),
 ])
 def test_parse_errors_carry_position(bad, pos):
     with pytest.raises(PolyParseError) as err:
         parse_poly(bad)
     assert err.value.position == pos
+
+
+# Whitespace between tokens: ASCII, a no-break space and an em space.
+SPACES = (" ", "\t", "\n", "\u00a0", "\u2003")
+
+
+def _loose_term(rng, mono, coeff, first):
+    """One term of ``coeff * x^i * y^j`` as text format_poly never writes:
+    random spacing, a leading '+' on a first positive term, exponents split
+    over repeated factors (x^3 as x*x^2) and y possibly before x."""
+    def gap():
+        return "".join(rng.choice(SPACES) for _ in range(rng.randrange(3)))
+
+    def powers(var, e):
+        if e > 1 and rng.random() < 0.5:
+            k = rng.randrange(1, e)
+            return powers(var, k) + powers(var, e - k)
+        return [var if e == 1 else f"{var}{gap()}^{gap()}{e}"] if e else []
+
+    factors = powers("x", mono[0]) + powers("y", mono[1])
+    if rng.random() < 0.5:
+        factors.reverse()
+    if abs(coeff) != 1 or not factors or rng.random() < 0.3:
+        factors.insert(0, str(abs(coeff)))
+    sign = "-" if coeff < 0 else "+" if not first or rng.random() < 0.5 else ""
+    return gap() + sign + gap() + (gap() + "*" + gap()).join(factors) + gap()
+
+
+def test_parse_accepts_non_canonical_text():
+    rng = random.Random(2745)
+    for _ in range(300):
+        p = random_poly(rng, max_degree=12, coeff_bound=10 ** 6)
+        terms = list(p.terms.items())
+        for _ in range(rng.randrange(3)):  # a term and its negation: x - x
+            mono, c = (rng.randrange(6), rng.randrange(6)), rng.randint(1, 9)
+            terms += [(mono, c), (mono, -c)]
+        rng.shuffle(terms)
+        text = "".join(_loose_term(rng, m, c, k == 0) for k, (m, c) in enumerate(terms))
+        assert parse_poly(text or "0") == p, text
 
 
 # Characters the grammar uses, plus ones it refuses: an unknown variable, a
