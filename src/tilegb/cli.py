@@ -97,7 +97,10 @@ MAX_EXPONENT = MAX_SIDE ** 2
 
 # oracle builds one unknown per placement and one equation per cell of its
 # box: a 1023 x 1023 box took 11 s and 1.1 GB, a 255 x 255 box about 0.5 s
-# and 84 MB.  The side limit alone bounds only thin boxes.
+# and 84 MB.  The side limit alone bounds only thin boxes.  homology --box D
+# builds one generator per cell and one relation per tile translate, so it
+# refuses D^2 above the same limit (D > 256): D = 3000 raised MemoryError
+# under a 2 GB address-space limit.
 MAX_BOX_CELLS = 256 ** 2
 
 
@@ -269,6 +272,9 @@ def _cmd_homology(args, out: list[str]) -> int:
         _check_extent(prototiles)
     stabilized = True
     if args.box is not None:
+        if args.box ** 2 > MAX_BOX_CELLS:
+            raise UsageError(f"the box of {args.box} x {args.box} = {args.box ** 2} cells "
+                             f"is above the limit of {MAX_BOX_CELLS} cells")
         group = homology.box_group(prototiles, args.box)
     else:
         group = homology.basis_group(prototiles)

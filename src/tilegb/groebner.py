@@ -6,6 +6,11 @@ included) of every nonzero ideal element is divisible by the leading term of
 some basis element; membership then reduces to a zero remainder.  Completion
 runs once and logs how it made each element from the generators
 (intlin.Combinations); ``lift`` back-substitutes quotients through that log.
+
+Every division goes through one packed divider (``_Divider``), which holds
+the basis's leading terms and tails as packed integers: a basis caches one
+for ``reduce``, ``remainder`` and ``periods``, and completion keeps one for
+the elements it has made, appending each new element to it.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import lshift
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .intlin import Combinations
 from .polyring import (CONVENTIONS, LEX, Mono, Polynomial, TermOrder,
                        coeff_divmod, format_poly, mono_div, mono_divides,
-                       mono_lcm, pack, parse_poly, slot_shifts, unpack)
+                       mono_lcm, parse_poly, slot_shifts, unpack)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -107,8 +112,7 @@ class GroebnerBasis:
         bound = 2 * max(g.degree() for g in self.elements) + 2
 
         def normal_form(terms: dict[Mono, int]) -> dict[Mono, int]:
-            return _reduce_raw(terms, self.nvars, self.elements, self._lts, self.order,
-                               self.convention)[1]
+            return self._divider.divide(terms, self.convention)[1]
 
         one = normal_form({(0,) * self.nvars: 1})
         found: list[int | None] = []
@@ -124,107 +128,171 @@ class GroebnerBasis:
                 found.append(None)
         return tuple(found)
 
+    @cached_property
+    def _divider(self) -> _Divider:
+        """The packed divider that ``reduce``, ``remainder`` and ``periods``
+        share.  A cached property is no field, so it takes no part in
+        equality, hashing or repr."""
+        return _Divider(self.elements, self._lts, self.order)
 
-@dataclass
+
 class ReductionResult:
     """Division output: input == sum(quotients[i] * basis[i]) + remainder,
-    with no remainder term strongly reducible by the basis."""
+    with no remainder term strongly reducible by the basis.  The quotients
+    stay packed until ``quotients`` is first read."""
 
-    quotients: list[Polynomial]
-    remainder: Polynomial
+    def __init__(self, remainder: Polynomial, quotients: Callable[[], list[Polynomial]]):
+        self.remainder = remainder
+        self._decode = quotients
 
-
-def _slot_width(fterms: dict[Mono, int], elements: list[Polynomial],
-                prec: tuple[int, ...]) -> int:
-    """Bits per exponent slot that no monomial met while dividing can exceed.
-
-    A division step multiplies a term by t / LM(g) for a tail term t of g.
-    The first position (in precedence order) where t and LM(g) differ drops
-    by at least one, earlier positions are unchanged, and each later position
-    grows by at most D, the largest exponent in the basis.  Along any chain
-    of steps from an input term, position k therefore never exceeds
-    E_k = e_k + D * (E_0 + ... + E_(k-1)), where e_k is the largest input
-    exponent there and the sum bounds the steps that drop an earlier
-    position.  All slots get the width of E_0 + ... + E_last, which covers
-    every E_k.  Negative exponents fit no slot and are refused.
-    """
-    basis_cols = list(zip(*[m for g in elements for m in g.terms]))
-    input_cols = list(zip(*fterms))
-    if min(map(min, basis_cols + input_cols), default=0) < 0:
-        raise ValueError("negative exponent; division needs exponents >= 0")
-    top = max(map(max, basis_cols), default=0)
-    highs = list(map(max, input_cols)) or [0] * len(prec)
-    total = 0
-    for v in prec:
-        total += highs[v] + top * total
-    return max(top, total).bit_length() or 1
+    @cached_property
+    def quotients(self) -> list[Polynomial]:
+        quotients = self._decode()
+        self._decode = None  # frees the packed form
+        return quotients
 
 
-def _reduce_raw(fterms: dict[Mono, int], nvars: int, elements: Sequence[Polynomial],
-                lts: Sequence[tuple[Mono, int]], order: TermOrder,
-                conv: str) -> tuple[list[dict[Mono, int]], dict[Mono, int]]:
-    """Core division loop on raw term maps.
+_NEGATIVE = "negative exponent; division needs exponents >= 0"
 
-    Deterministic rules: always attack the current leading term; use the first
-    basis element (in list order) whose leading term gives a nonzero division
-    quotient; once no element applies, the term moves to the remainder.
+
+class _Divider:
+    """Division by one list of basis elements, packed once for every call.
 
     Monomials are packed into one int each (polyring.pack), variables in
-    precedence order, with slots wide enough (_slot_width) that no exponent
-    carries into the next slot: lex comparison is integer comparison and
-    shifting by a monomial is integer addition.  Each slot has one guard bit
-    above its exponent bits, so v | u exactly when u - v is non-negative
+    precedence order, with slots wide enough that no exponent carries into
+    the next slot: lex comparison is integer comparison and shifting by a
+    monomial is integer addition.  Each slot has ``bits`` exponent bits and
+    one guard bit above them, so v | u exactly when u - v is non-negative
     with no guard bit set.
+
+    ``codec`` holds the slot layout with every element's leading term and
+    tail packed in it.  A division whose input needs more bits than the
+    slots hold packs the elements again, once, at the width it needs and
+    makes that the codec; the division then runs on the codec it read or
+    made, so divisions that share a basis each run on slots wide enough for
+    their own input.  ``append`` adds an element, for the one caller
+    (completion) that owns the divider.
+
+    Slot width.  A division step multiplies a term by t / LM(g) for a tail
+    term t of g.  The first position (in precedence order) where t and LM(g)
+    differ drops by at least one, earlier positions are unchanged, and each
+    later position grows by at most D, the largest exponent in the basis.
+    Along any chain of steps from an input term, position k therefore never
+    exceeds E_k = e_k + D * (E_0 + ... + E_(k-1)), where e_k is the largest
+    input exponent there and the sum bounds the steps that drop an earlier
+    position.  A division needs the width of E_0 + ... + E_last, which
+    covers every E_k, and of D.  D is the largest exponent of any element
+    the divider has held, which only overstates it.  Negative exponents fit
+    no slot and are refused.
+
+    Deterministic rules: always attack the current leading term; use the
+    first element (in list order) whose leading term gives a nonzero
+    coefficient quotient; once no element applies, the term moves to the
+    remainder.
     """
-    prec = order.precedence
-    if sorted(prec) != list(range(nvars)):
-        raise ValueError(f"precedence {prec} is not an order of all {nvars} variables")
-    bits = _slot_width(fterms, elements, prec)
-    shifts = slot_shifts(bits + 1, prec)
-    guard = sum(1 << (s + bits) for s in shifts)
-    work = dict(pack(fterms.items(), shifts))
-    heap = [-p for p in work]
-    heapq.heapify(heap)
-    quotients: list[dict[int, int]] = [{} for _ in elements]
-    remainder: dict[int, int] = {}
-    plts = list(pack(lts, shifts))
-    # pack()'s encoding, inlined to drop each leading term as it goes: the
-    # tails are packed on every call, and a call per element costs more.
-    tails = [[(sum(map(lshift, m, shifts)), c) for m, c in g.terms.items() if m != gm]
-             for g, (gm, _) in zip(elements, lts)]
-    while heap:
-        mono = -heapq.heappop(heap)
-        c = work.pop(mono, 0)
-        if not c:
-            continue
-        progressed = True
-        while c and progressed:
-            progressed = False
-            for gi, (gm, gc) in enumerate(plts):
-                shift = mono - gm
-                if shift < 0 or shift & guard:
-                    continue
-                q, r = coeff_divmod(c, gc, conv)
-                if q == 0:
-                    continue
-                for tm, tc in tails[gi]:
-                    m2 = tm + shift
-                    v = work.get(m2, 0) - q * tc
-                    if v:
-                        if m2 not in work:
-                            heapq.heappush(heap, -m2)
-                        work[m2] = v
-                    else:
-                        work.pop(m2, None)
-                c = r
-                qd = quotients[gi]
-                qd[shift] = qd.get(shift, 0) + q
-                progressed = True
-                break
-        if c:
-            remainder[mono] = c
-    return ([unpack(q, shifts, bits) if q else {} for q in quotients],
-            unpack(remainder, shifts, bits))
+
+    def __init__(self, elements: Sequence[Polynomial], lts: Sequence[tuple[Mono, int]],
+                 order: TermOrder):
+        prec = order.precedence
+        nvars = elements[0].nvars
+        if sorted(prec) != list(range(nvars)):
+            raise ValueError(f"precedence {prec} is not an order of all {nvars} variables")
+        self.prec = prec
+        self.top = 0  # D
+        self.elements: list[Polynomial] = []
+        self.lts: list[tuple[Mono, int]] = []
+        self.codec = self._packing(1)
+        for g, lt in zip(elements, lts):
+            self.append(g, lt)
+
+    def _packing(self, bits: int):
+        """(bits, shifts, guard bits, packed leading terms, packed tails) of
+        the elements at ``bits`` exponent bits per slot."""
+        shifts = slot_shifts(bits + 1, self.prec)
+        packed = [_packed_element(g, lt, shifts) for g, lt in zip(self.elements, self.lts)]
+        return (bits, shifts, sum(1 << (s + bits) for s in shifts),
+                [lead for lead, _ in packed], [tail for _, tail in packed])
+
+    def append(self, g: Polynomial, lt: tuple[Mono, int]) -> None:
+        """Add g, whose leading term is lt, as the last element."""
+        cols = list(zip(*g.terms))
+        if min(map(min, cols)) < 0:
+            raise ValueError(_NEGATIVE)
+        self.elements.append(g)
+        self.lts.append(lt)
+        self.top = max(self.top, *map(max, cols))
+        bits, shifts, _, plts, tails = self.codec
+        if self.top.bit_length() > bits:
+            self.codec = self._packing(self.top.bit_length())
+        else:
+            lead, tail = _packed_element(g, lt, shifts)
+            plts.append(lead)
+            tails.append(tail)
+
+    def divide(self, fterms: dict[Mono, int], conv: str) -> tuple[
+            dict[int, dict[int, int]], dict[Mono, int], tuple[list[int], int]]:
+        """Divide the term map: ({element index: packed quotient} for the
+        nonzero quotients, remainder, (shifts, bits)), where
+        ``polyring.unpack(quotient, shifts, bits)`` decodes a quotient."""
+        codec = self.codec
+        cols = list(zip(*fterms))
+        if cols:
+            if min(map(min, cols)) < 0:
+                raise ValueError(_NEGATIVE)
+            highs, top, total = list(map(max, cols)), self.top, 0
+            for v in self.prec:  # E_0 + ... + E_last, as in the class docstring
+                total += highs[v] + top * total
+            need = max(top, total).bit_length()
+            if need > codec[0]:
+                codec = self.codec = self._packing(need)
+        bits, shifts, guard, plts, tails = codec
+        work = {sum(map(lshift, m, shifts)): c for m, c in fterms.items()}
+        heap = [-p for p in work]
+        heapq.heapify(heap)
+        quotients: dict[int, dict[int, int]] = {}
+        remainder: dict[int, int] = {}
+        while heap:
+            mono = -heapq.heappop(heap)
+            c = work.pop(mono, 0)
+            if not c:
+                continue
+            progressed = True
+            while c and progressed:
+                progressed = False
+                for gi, (gm, gc) in enumerate(plts):
+                    shift = mono - gm
+                    if shift < 0 or shift & guard:
+                        continue
+                    q, r = coeff_divmod(c, gc, conv)
+                    if q == 0:
+                        continue
+                    for tm, tc in tails[gi]:
+                        m2 = tm + shift
+                        v = work.get(m2, 0) - q * tc
+                        if v:
+                            if m2 not in work:
+                                heapq.heappush(heap, -m2)
+                            work[m2] = v
+                        else:
+                            work.pop(m2, None)
+                    c = r
+                    qd = quotients.get(gi)
+                    if qd is None:
+                        qd = quotients[gi] = {}
+                    qd[shift] = qd.get(shift, 0) + q
+                    progressed = True
+                    break
+            if c:
+                remainder[mono] = c
+        return quotients, unpack(remainder, shifts, bits), (shifts, bits)
+
+
+def _packed_element(g: Polynomial, lt: tuple[Mono, int],
+                    shifts: list[int]) -> tuple[tuple[int, int], list[tuple[int, int]]]:
+    """g's leading term and its tail, packed."""
+    gm, gc = lt
+    return ((sum(map(lshift, gm, shifts)), gc),
+            [(sum(map(lshift, m, shifts)), c) for m, c in g.terms.items() if m != gm])
 
 
 def _checked_convention(f: Polynomial, G: GroebnerBasis, convention: str | None) -> str:
@@ -240,9 +308,12 @@ def reduce(f: Polynomial, G: GroebnerBasis, convention: str | None = None) -> Re
     """Divide f by the basis, returning quotients (one per element) and the
     remainder.  The convention defaults to the basis's own."""
     conv = _checked_convention(f, G, convention)
-    quotients, remainder = _reduce_raw(f.terms, f.nvars, G.elements, G._lts, G.order, conv)
-    return ReductionResult([Polynomial._make(q, f.nvars) for q in quotients],
-                           Polynomial._make(remainder, f.nvars))
+    packed, rem, codec = G._divider.divide(f.terms, conv)
+    nvars, count = f.nvars, len(G.elements)
+    return ReductionResult(
+        Polynomial._make(rem, nvars),
+        lambda: [Polynomial._make(unpack(packed.get(i, {}), *codec), nvars)
+                 for i in range(count)])
 
 
 def remainder(f: Polynomial, G: GroebnerBasis, convention: str | None = None) -> Polynomial:
@@ -316,10 +387,11 @@ def g_polynomial(g: Polynomial, h: Polynomial, order: TermOrder = LEX) -> Polyno
     return g.mul_term(a, ma) + h.mul_term(b, mb)
 
 
-def _quotient_steps(quotients: list[dict[Mono, int]], ids: Sequence[int],
-                    nvars: int) -> list[tuple[Polynomial, int]]:
-    """Log steps (-q, node) for the nonzero division quotients."""
-    return [(-Polynomial._make(q, nvars), k) for q, k in zip(quotients, ids) if q]
+def _quotient_steps(packed: dict[int, dict[int, int]], codec: tuple[list[int], int],
+                    ids: Sequence[int], nvars: int) -> list[tuple[Polynomial, int]]:
+    """Log steps (-q, node) for the nonzero quotients of a division, in
+    basis order."""
+    return [(-Polynomial._make(unpack(packed[k], *codec), nvars), ids[k]) for k in sorted(packed)]
 
 
 def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
@@ -348,6 +420,7 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
     log = Combinations()
     ids = [log.add([(1, ~j)]) for j in range(len(polys))]  # each element's node
 
+    div = _Divider(polys, lts, order)
     queue: deque[tuple[int, int]] = deque((i, j) for j in range(len(polys)) for i in range(j))
     while queue:
         i, j = queue.popleft()
@@ -360,13 +433,14 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
                 continue
             (a, ma), (b, mb) = _pair(lts[i], lts[j], gcd_pair)
             p = polys[i].mul_term(a, ma) + polys[j].mul_term(b, mb)
-            qs, rem = _reduce_raw(p.terms, nvars, polys, lts, order, conv)
+            qs, rem, codec = div.divide(p.terms, conv)
             if rem:
-                polys.append(Polynomial._make(rem, nvars))
-                lts.append(polys[-1].leading_term(order))
                 ids.append(log.add([(Polynomial._make({ma: a}, nvars), ids[i]),
                                     (Polynomial._make({mb: b}, nvars), ids[j]),
-                                    *_quotient_steps(qs, ids, nvars)]))
+                                    *_quotient_steps(qs, codec, ids, nvars)]))
+                polys.append(Polynomial._make(rem, nvars))
+                lts.append(polys[-1].leading_term(order))
+                div.append(polys[-1], lts[-1])
                 queue.extend((s, len(polys) - 1) for s in range(len(polys) - 1))
 
     # Sign-normalize so leading coefficients are positive.
@@ -386,15 +460,18 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
     ids = [ids[t] for t in keep]
 
     # Tail-reduce each element by the others; leading terms are untouched, so
-    # strongness is preserved and the output is stable.
+    # strongness is preserved and the output is stable.  Every term met while
+    # reducing g_t's tail is smaller than LM(g_t), and a leading monomial
+    # divides only terms at least as large as itself.  So neither g_t nor an
+    # element before it (larger leading monomial, already tail-reduced) ever
+    # applies, and one divider over the sorted elements serves every t.
+    div = _Divider(polys, lts, order)
     for t, (gm, gc) in enumerate(lts):
         tail = dict(polys[t].terms)
         del tail[gm]
-        qs, rem = _reduce_raw(tail, nvars, polys[:t] + polys[t + 1:], lts[:t] + lts[t + 1:],
-                              order, conv)
-        steps = _quotient_steps(qs, ids[:t] + ids[t + 1:], nvars)
-        if steps:
-            ids[t] = log.add([(1, ids[t]), *steps])
+        qs, rem, codec = div.divide(tail, conv)
+        if qs:
+            ids[t] = log.add([(1, ids[t]), *_quotient_steps(qs, codec, ids, nvars)])
         polys[t] = Polynomial._make({**rem, gm: gc}, nvars)
 
     log.node_of = dict(enumerate(ids))

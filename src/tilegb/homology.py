@@ -74,12 +74,18 @@ def _sparse_invariants(rows) -> tuple[list[int], int]:
     """Invariant factors (including trivial 1s) and rank from sparse relation
     rows: take the echelon core, then run the same pass on the transposed
     core until each core row is its pivot alone, and chain that diagonal."""
-    rank, core = _echelon_core(rows)
+    # The relation rows go in from the far end, in descending order of their
+    # last column: most then meet no pivot at their first column and install
+    # at once, where the ascending order runs long Euclid chains (box_group
+    # on 3-bones at D = 128 took 5.9 s that way, and 0.23 s this way).
+    rank, core = _echelon_core(sorted(rows, key=lambda row: max(row, default=-1),
+                                      reverse=True))
     # Ends: each round's first pivot is the gcd of the previous first core
     # row, so it divides the previous first pivot.  When they are equal, that
     # row and column are cleared (the pivot's own column, inserted first,
     # holds it alone) and stay so; the rounds go on with the rest, and peeled
-    # units only shrink the core.
+    # units only shrink the core.  That is why the transposed rows keep
+    # ascending column order.
     while any(len(row) > 1 for row in core):
         cols = sorted({c for row in core for c in row})
         _, core = _echelon_core([{i: row[c] for i, row in enumerate(core) if c in row}

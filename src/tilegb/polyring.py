@@ -3,13 +3,15 @@
 Monomials are plain tuples of non-negative exponents; a polynomial is a map
 from monomial to nonzero coefficient.  The default ring is Z[x, y].
 
-Products and division (``groebner._reduce_raw``) work on packed monomials:
+Products and division (``groebner._Divider``) work on packed monomials:
 each exponent gets a slot of ``width`` bits in one int, so multiplying two
 monomials is adding two ints.  ``slot_shifts`` places the slots, ``pack``
 encodes a monomial as ``sum(map(lshift, mono, shifts))`` and ``unpack``
-decodes.  The codec is exact only while every exponent met fits its slot,
-so each caller sizes the width from its inputs, and a negative exponent,
-which fits no slot, is refused.
+decodes.  The codec is exact only while every exponent met fits its slot.
+A product sizes the width from its two operands.  A divider packs its
+basis once for all its calls, and widens the slots and re-packs the basis
+only when an input needs more bits than they hold, by the bound proved on
+``groebner._Divider``.  A negative exponent, which fits no slot, is refused.
 
 ``parse_poly`` reads text in one split-and-memo pass.  String methods cut
 the text into terms at '+'/'-' and each term at its first '*'.  Each
@@ -28,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import add, lshift
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 Mono = tuple[int, ...]
 
@@ -92,18 +94,28 @@ def pack(items: Iterable[tuple[Mono, int]], shifts: list[int]) -> Iterator[tuple
 
 def unpack(terms: dict[int, int], shifts: list[int], bits: int) -> dict[Mono, int]:
     """Inverse of ``pack`` for exponents of at most ``bits`` bits."""
+    return _decode(terms, terms.values(), shifts, bits)
+
+
+def _decode(packed: Collection[int], coeffs: Iterable[int], shifts: list[int],
+            bits: int) -> dict[Mono, int]:
+    """The term map of packed monomials and their coefficients, in order."""
     slot = (1 << bits) - 1
-    if len(terms) < 8:
-        return {tuple([(p >> s) & slot for s in shifts]): c for p, c in terms.items()}
+    if len(packed) < 8:
+        return {tuple([(p >> s) & slot for s in shifts]): c for p, c in zip(packed, coeffs)}
     # One column of exponents per variable, zipped into tuples at the end,
     # spends no interpreter frame per term; it wins from about 8 terms on.
-    cols = [[(p >> s) & slot for p in terms] for s in shifts]
-    return dict(zip(zip(*cols), terms.values()))
+    cols = [[(p >> s) & slot for p in packed] for s in shifts]
+    return dict(zip(zip(*cols), coeffs))
 
 
 def _mul_packed(f: dict[Mono, int], g: dict[Mono, int], nvars: int) -> dict[Mono, int]:
     """Product of two term maps on packed monomials.  The slot width holds
-    the sum of the two largest exponents, so no product exponent carries."""
+    the sum of the two largest exponents, so no product exponent carries.
+
+    A sum that cancels is dropped at once, so a product that mostly cancels
+    (``verify_brion``'s) stays small while it runs, and the accumulator is
+    freed before the result is built, so the two are never held at once."""
     fcols, gcols = list(zip(*f)), list(zip(*g))
     if min(map(min, fcols + gcols)) < 0:
         raise ValueError("negative exponent; products need exponents >= 0")
@@ -113,13 +125,18 @@ def _mul_packed(f: dict[Mono, int], g: dict[Mono, int], nvars: int) -> dict[Mono
     acc: dict[int, int] = {}
     get = acc.get
     inner = list(pack(g.items(), shifts))
-    for p1, c1 in pack(f.items(), shifts):
+    for m, c1 in f.items():  # packed inline: no generator step per term
+        p1 = sum(map(lshift, m, shifts))
         for p2, c2 in inner:
             p = p1 + p2
-            acc[p] = get(p, 0) + c1 * c2
-    for p in [p for p, c in acc.items() if not c]:
-        del acc[p]
-    return unpack(acc, shifts, bits)
+            c = get(p, 0) + c1 * c2
+            if c:
+                acc[p] = c
+            else:
+                del acc[p]
+    packed, coeffs = list(acc), list(acc.values())
+    del acc, get
+    return _decode(packed, coeffs, shifts, bits)
 
 
 class Polynomial:

@@ -297,6 +297,12 @@ def test_homology_box_flag():
     assert run(["homology", "--n", "2", "--box", "4"]) == (0, "Z/2\n")
 
 
+def test_homology_large_box():
+    # 16,384 cells and 48,132 relations: inserted from the far end, they
+    # echelonize in well under a second.
+    assert run(["homology", "--n", "3", "--box", "128"]) == (0, "Z^2 + Z/3\n")
+
+
 def test_homology_unstable_scan_is_inconclusive(tmp_path, capsys):
     # The L-tromino is not tame (no power of x is 1 modulo its ideal), so it
     # takes the box scan, whose groups do not stabilize.
@@ -373,6 +379,7 @@ L_TROMINO = [(0, 0), (1, 0), (0, 1)]
     ["oracle", "--region", "{small}", "--tiles", "{small}", "--margin", "511"],
     ["homology", "--tiles", "{wide}"],
     ["gb", "--tiles", "{wide}"],
+    ["homology", "--n", "2", "--box", "257"],
 ))
 def test_wide_region_or_tile_is_usage_error(tmp_path, capsys, argv):
     # A region or prototile with a bounding-box side above 1024 (or an oracle

@@ -1,5 +1,6 @@
 """Strong Groebner machinery: division, critical pairs, completion, membership."""
 
+import dataclasses
 import random
 
 import pytest
@@ -106,6 +107,44 @@ def test_packed_exponents_grow_past_the_input_without_carrying():
     huge = 2 ** 80
     res = reduce(Polynomial({(huge, 3): 1}), GroebnerBasis([parse_poly("y - 1")]))
     assert res.remainder == Polynomial({(huge, 0): 1})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GroebnerBasis([parse_poly("x^2 - 3*y"), parse_poly("2*x*y + y^3 - 1")]),
+    lambda: bone_system(3).basis,
+    lambda: buchberger(tile_generators(pinned_families()[3]), conv="nonneg"),
+], ids=["fresh", "shared-bone-basis", "completed"])
+def test_divider_widens_and_reuses_wide_slots(make):
+    # One basis divides small inputs, then inputs with an exponent of 2^80,
+    # which widen its slots and re-pack it, then small inputs again on the
+    # wide slots.  Each result equals a division by a fresh copy, also when
+    # its quotients are first read after the slots widened.  The wide part
+    # is a multiple of the first element, which divides it in one step.
+    G = make()
+    rng = random.Random(80)
+    huge = 2 ** 80
+    results = []
+    for step in range(12):
+        f = random_poly(rng, max_degree=9, coeff_bound=40)
+        if 4 <= step < 8:
+            wide = [(huge, rng.randint(0, 5)), (rng.randint(0, 5), huge + step)][step % 2]
+            f = f + G.elements[0].mul_term(rng.choice([-3, 1, 2]), wide)
+        for conv in CONVENTIONS:
+            results.append((f, conv, reduce(f, G, conv)))
+        assert remainder(f, G) == reduce(f, dataclasses.replace(G)).remainder
+    assert G._divider.codec[0] > 80  # exponent bits per slot
+    for f, conv, got in results:
+        want = reduce(f, dataclasses.replace(G), conv)
+        assert (got.remainder, got.quotients) == (want.remainder, want.quotients)
+    bad = parse_poly("1 + y").mul_term(1, (-1, 0))
+    with pytest.raises(ValueError):
+        reduce(bad, G)
+    # The cached divider is no field: equality, hashing and repr ignore it.
+    fresh = dataclasses.replace(G)
+    assert "_divider" in vars(G) and "_divider" not in vars(fresh)
+    assert G == fresh and repr(G) == repr(fresh)
+    if isinstance(G.elements, tuple):
+        assert hash(G) == hash(fresh)
 
 
 def test_negative_exponent_is_refused_not_misordered():
