@@ -104,9 +104,22 @@ MAX_EXPONENT = MAX_SIDE ** 2
 MAX_BOX_CELLS = 256 ** 2
 
 
+# bone_system(n) proves the explicit basis strong, in time growing about as
+# n^3: reduce --n 300 took 17 s and gb --n 600 over a minute.  The
+# prototiles alone hold 3n cells, 40 MiB at n = 10^5.  Every verb that
+# builds the n-bones refuses n above this; at 64 each answers within
+# 0.35 s.  decide --n --m uses the closed form and has no limit.
+MAX_BONE = 64
+
+
 def _check_side(m: int) -> None:
     if m > MAX_SIDE:
         raise UsageError(f"--m {m} is above the limit of {MAX_SIDE}")
+
+
+def _check_bone(n: int) -> None:
+    if n > MAX_BONE:
+        raise UsageError(f"--n {n} is above the limit of {MAX_BONE}")
 
 
 def _spans(cells) -> list[int]:
@@ -138,6 +151,7 @@ def _load_tiles(args) -> list[tiling.Region]:
     if args.n is not None and args.tiles is not None:
         raise UsageError("give either --n or --tiles, not both")
     if args.n is not None:
+        _check_bone(args.n)
         return bones.nbone_prototiles(args.n)
     if args.tiles is not None:
         return tiling.parse_tiles_text(_read(args.tiles))
@@ -190,6 +204,7 @@ def _cmd_reduce(args, out: list[str]) -> int:
     if (args.n is None) == (args.basis is None):
         raise UsageError("give exactly one of --n or --basis")
     if args.n is not None:
+        _check_bone(args.n)
         basis = bones.bone_system(args.n).basis
     else:
         basis = groebner.basis_from_text(_read(args.basis))
@@ -238,6 +253,7 @@ def _cmd_gb(args, out: list[str]) -> int:
 
 
 def _cmd_certificate(args, out: list[str]) -> int:
+    _check_bone(args.n)
     _check_side(args.m)
     if not bones.decide_nbone(args.m, args.n):
         print(f"triangle of side {args.m} admits no signed tiling by {args.n}-bones",

@@ -19,7 +19,7 @@ import heapq
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import lshift
 from typing import Callable, Sequence
@@ -52,12 +52,12 @@ class GroebnerBasis:
     When ``cofactors`` is present, row i expresses elements[i] over
     ``generators``: elements[i] == sum(cofactors[i][j] * generators[j]).
     Explicit rows become a one-level log, as ``buchberger`` keeps its own.
-    ``verified`` records that strongness has been established (either by
-    completion or by verify_strong_gb); ideal membership refuses to run
-    without it.  A basis is frozen: no attribute can be reassigned, and only
-    verify_strong_gb, once its proof is done, marks a basis verified.  Given
-    tuples, as ``bone_system`` gives for the basis it shares, the contents
-    cannot change either.
+    ``verified`` records a proof of strongness, without which ideal
+    membership refuses to run.  Only completion and verify_strong_gb mark a
+    basis verified; the constructor and ``dataclasses.replace`` give an
+    unverified one.  A basis is frozen: no attribute can be reassigned.
+    Given tuples, as ``bone_system`` gives for the basis it shares, the
+    contents cannot change either.
     """
 
     elements: Sequence[Polynomial]
@@ -65,8 +65,8 @@ class GroebnerBasis:
     convention: str = "minabs"
     generators: Sequence[Polynomial] | None = None
     cofactors: Sequence[Sequence[Polynomial]] | None = None
-    verified: bool = False
-    _log: Combinations | None = field(default=None, compare=False, repr=False)
+    verified: bool = field(default=False, init=False, compare=False, repr=False)
+    _log: Combinations | None = field(default=None, init=False, compare=False, repr=False)
     _lts: tuple[tuple[Mono, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -78,7 +78,7 @@ class GroebnerBasis:
             raise ValueError(f"unknown coefficient convention {self.convention!r}")
         object.__setattr__(self, "_lts",
                            tuple(g.leading_term(self.order) for g in self.elements))
-        if self._log is None and self.cofactors is not None:
+        if self.cofactors is not None:
             log = Combinations()
             log.node_of = {i: log.add([(c, ~j) for j, c in enumerate(row) if c])
                            for i, row in enumerate(self.cofactors)}
@@ -395,7 +395,7 @@ def _quotient_steps(packed: dict[int, dict[int, int]], codec: tuple[list[int], i
 
 
 def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
-               conv: str = "minabs", track_cofactors: bool = False) -> GroebnerBasis:
+               conv: str = "minabs") -> GroebnerBasis:
     """Complete the generators to a strong Groebner basis over Z.
 
     Pairs are processed FIFO; for each pair the S-polynomial is reduced (unless
@@ -408,7 +408,8 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
     Each element logs how it was made as a node: a pair's two term
     multipliers and (-q, node) per division quotient, a sign flip (-1, node),
     a tail reduction (1, node) and its quotients.  The basis keeps the log
-    for ``lift``; with track_cofactors, row i of ``cofactors`` lifts element i.
+    for ``lift``: lifting the i-th unit vector writes element i over the
+    generators.
     """
     if not generators:
         raise ValueError("empty generator list")
@@ -475,14 +476,10 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
         polys[t] = Polynomial._make({**rem, gm: gc}, nvars)
 
     log.node_of = dict(enumerate(ids))
-    basis = GroebnerBasis(polys, order, conv, generators=list(generators), verified=True,
-                          _log=log)
-    if not track_cofactors:
-        return basis
-    unit = Polynomial.constant(1, nvars)
-    rows = [basis.lift([unit if s == t else 0 for s in range(len(polys))])
-            for t in range(len(polys))]
-    return replace(basis, cofactors=rows)
+    basis = GroebnerBasis(polys, order, conv, generators=list(generators))
+    object.__setattr__(basis, "_log", log)  # the basis is frozen
+    object.__setattr__(basis, "verified", True)  # completion proves strongness
+    return basis
 
 
 @dataclass
@@ -557,8 +554,5 @@ def basis_from_text(text: str) -> GroebnerBasis:
         raise ValueError(f"unsupported term order {fields['order']!r}; expected lex")
     if fields.get("vars", "x,y") != "x,y":
         raise ValueError(f"unsupported variables {fields['vars']!r}; expected x,y")
-    conv = fields.get("conv", "minabs")
-    if conv not in ("minabs", "nonneg"):
-        raise ValueError(f"unknown convention {conv!r}")
     elements = [parse_poly(ln) for ln in lines]
-    return GroebnerBasis(elements, LEX, conv)
+    return GroebnerBasis(elements, LEX, fields.get("conv", "minabs"))

@@ -97,11 +97,8 @@ def placement_system(region: Region, prototiles: list[Region], margin: int) -> P
     else:
         x0 = y0 = 0
         x1 = y1 = 1
+    # Cell (i, j) of the box is row (j - y0) * width + (i - x0).
     width = x1 - x0
-    cell_index = {}
-    for j in range(y0, y1):
-        for i in range(x0, x1):
-            cell_index[(i, j)] = (j - y0) * width + (i - x0)
     ncells = width * (y1 - y0)
     matrix: list[dict[int, int]] = [{} for _ in range(ncells)]
     placements = []
@@ -111,11 +108,11 @@ def placement_system(region: Region, prototiles: list[Region], margin: int) -> P
         for b in range(y0 - min(tjs), y1 - max(tjs)):
             for a in range(x0 - min(tis), x1 - max(tis)):
                 for i, j in tile:
-                    matrix[cell_index[(i + a, j + b)]][len(placements)] = 1
+                    matrix[(j + b - y0) * width + (i + a - x0)][len(placements)] = 1
                 placements.append(Placement(tidx, (a, b), 1))
     target = [0] * ncells
-    for cell in region:
-        target[cell_index[cell]] = 1
+    for i, j in region:
+        target[(j - y0) * width + (i - x0)] = 1
     return PlacementSystem((x0, x1, y0, y1), placements, matrix, target)
 
 

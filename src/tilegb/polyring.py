@@ -192,6 +192,8 @@ class Polynomial:
 
     @staticmethod
     def variable(index: int, nvars: int = 2) -> Polynomial:
+        if not 0 <= index < nvars:
+            raise ValueError(f"variable index {index} is outside 0..{nvars - 1}")
         mono = tuple(1 if i == index else 0 for i in range(nvars))
         return Polynomial({mono: 1}, nvars)
 
@@ -268,7 +270,9 @@ class Polynomial:
     __rmul__ = __mul__
 
     def mul_term(self, coeff: int, mono: Mono) -> Polynomial:
-        """Multiply by the single term coeff * x^mono."""
+        """Multiply by the single term coeff * x^mono, a monomial of the ring."""
+        if len(mono) != self.nvars or min(mono, default=0) < 0:
+            raise ValueError(f"{tuple(mono)} is not a monomial in {self.nvars} variables")
         if coeff == 0:
             return Polynomial.zero(self.nvars)
         return Polynomial._make({tuple(map(add, m, mono)): coeff * c

@@ -112,13 +112,22 @@ def periods_by_definition(G):
     return tuple(found)
 
 
+def lifted_rows(G):
+    """Row i writes element i of a completed basis over its generators: the
+    lift of the i-th unit vector."""
+    k = len(G.elements)
+    return [G.lift([Polynomial.constant(int(s == i), G.nvars) for s in range(k)])
+            for i in range(k)]
+
+
 def decide_by_full_division(region, prototiles, max_rounds=8):
-    """The signed-tiling decision computed the long way: one completion with
-    cofactor rows, then in each round t a full division, with quotients, of
-    (xy)^(t*D) * f_region (round 0 alone when both variables are tame).  A
-    zero remainder's cofactors are the forward sum of quotient times row."""
+    """The signed-tiling decision computed the long way: one completion, its
+    element rows lifted from unit vectors, then in each round t a full
+    division, with quotients, of (xy)^(t*D) * f_region (round 0 alone when
+    both variables are tame).  A zero remainder's cofactors are the forward
+    sum of quotient times row."""
     gens = tile_generators(prototiles)
-    G = buchberger(gens, LEX, "nonneg", track_cofactors=True)
+    G = buchberger(gens, LEX, "nonneg")
     d = tile_reach(prototiles)
     decisive = all(G.periods[var] is not None or all(g.max_exponent(var) == 0 for g in gens)
                    for var in range(2))
@@ -129,7 +138,7 @@ def decide_by_full_division(region, prototiles, max_rounds=8):
         res = reduce(f_region.mul_term(1, (t * d, t * d)), G)
         if res.remainder.is_zero():
             cof = [Polynomial.zero() for _ in prototiles]
-            for q, row in zip(res.quotients, G.cofactors):
+            for q, row in zip(res.quotients, lifted_rows(G)):
                 cof = [c + q * rc for c, rc in zip(cof, row)]
             return TilingDecision("yes", verified_certificate(
                 prototiles, region,

@@ -1,12 +1,14 @@
 """Command-line surface: golden outputs, exit codes, file round trips."""
 
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import tilegb
 from tilegb.bones import nbone_prototiles, triangle
 from tilegb.cli import run
 from tilegb.polyring import format_poly
@@ -380,6 +382,10 @@ L_TROMINO = [(0, 0), (1, 0), (0, 1)]
     ["homology", "--tiles", "{wide}"],
     ["gb", "--tiles", "{wide}"],
     ["homology", "--n", "2", "--box", "257"],
+    ["reduce", "--n", "65", "--poly", "1 + x"],
+    ["certificate", "--n", "65", "--m", "0"],
+    ["gb", "--n", "65"],
+    ["homology", "--n", "65"],
 ))
 def test_wide_region_or_tile_is_usage_error(tmp_path, capsys, argv):
     # A region or prototile with a bounding-box side above 1024 (or an oracle
@@ -479,3 +485,89 @@ def test_reused_parser_does_not_leak_values(tmp_path, monkeypatch):
     argv = ["reduce", "--n", "3", "--poly", "1 + x + y"]
     assert run(argv + ["--show-quotients"])[1].count("\n") == 5
     assert run(argv) == (0, "1 + x + y\n")
+
+
+# ---------------------------------------------------------------------------
+# usage errors, each a single "error:" line on stderr and exit 2
+
+@pytest.fixture
+def cert83(tmp_path):
+    path = str(tmp_path / "c83.cert")
+    assert run(["certificate", "--n", "3", "--m", "8", "--out", path])[0] == 0
+    return path
+
+
+def usage_error(capsys, argv):
+    capsys.readouterr()
+    assert run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err[len("error: "):-1]
+
+
+def test_bone_length_above_limit_is_usage_error(tmp_path, capsys, cert83):
+    # reduce, certificate, gb and homology are among the wide cases above.
+    out = str(tmp_path / "out.svg")
+    for argv in (["verify", "--certificate", cert83, "--n", "65"],
+                 ["render", "--certificate", cert83, "--n", "65", "--format", "svg",
+                  "--out", out]):
+        assert usage_error(capsys, argv) == "--n 65 is above the limit of 64"
+    assert run(["gb", "--n", "64"])[0] == 0
+    # decide --n --m uses the closed form and has no limit.
+    assert run(["decide", "--n", "100000", "--m", "3"]) == (1, "NO\n")
+
+
+def test_certificate_with_wrong_tile_count_is_usage_error(tmp_path, capsys, cert83):
+    one = region_file(tmp_path, "one.tiles", L_TROMINO)
+    out = str(tmp_path / "out.svg")
+    for argv in (["verify", "--certificate", cert83, "--tiles", one],
+                 ["render", "--certificate", cert83, "--tiles", one, "--format", "svg",
+                  "--out", out]):
+        assert usage_error(capsys, argv) == "certificate expects 3 prototiles, got 1"
+    assert not os.path.exists(out)
+
+
+def test_decide_region_without_tiles_is_usage_error(tmp_path, capsys):
+    region = region_file(tmp_path, "t3.region", tri(3))
+    assert (usage_error(capsys, ["decide", "--region", region])
+            == "decide needs both --region and --tiles")
+
+
+def test_oracle_negative_margin_is_usage_error(tmp_path, capsys, bones3_file):
+    region = region_file(tmp_path, "t3.region", tri(3))
+    argv = ["oracle", "--region", region, "--tiles", bones3_file, "--margin", "-1"]
+    assert usage_error(capsys, argv) == "negative margin"
+
+
+def test_render_needs_exactly_one_source(tmp_path, capsys, cert83):
+    region = region_file(tmp_path, "t3.region", tri(3))
+    out = str(tmp_path / "out.txt")
+    for sources in ([], ["--region", region, "--certificate", cert83]):
+        assert (usage_error(capsys, ["render", *sources, "--out", out])
+                == "give exactly one of --region or --certificate")
+    assert not os.path.exists(out)
+
+
+def test_reduce_refuses_unknown_basis_convention(tmp_path, capsys):
+    bpath = tmp_path / "basis.txt"
+    assert run(["gb", "--n", "3", "--out", str(bpath)])[0] == 0
+    bpath.write_text(bpath.read_text().replace("conv=nonneg", "conv=foo"))
+    assert (usage_error(capsys, ["reduce", "--basis", str(bpath), "--poly", "1 + x"])
+            == "unknown coefficient convention 'foo'")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["decide", "--n", "3", "--m", "8"], 0, "YES\n"),
+    (["decide", "--n", "3", "--m", "7"], 1, "NO\n"),
+    (["decide"], 2, ""),
+])
+def test_module_entry_point(argv, code, out):
+    # python -m tilegb.cli runs main(), which writes run()'s text and exits
+    # with its code.
+    src = str(Path(tilegb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "tilegb.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    if code == 2:
+        assert proc.stderr.startswith("error: ")

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from helpers import periods_by_definition, pinned_families, random_poly, random_univariate
+from helpers import (lifted_rows, periods_by_definition, pinned_families, random_poly,
+                     random_univariate)
 from tilegb import groebner
 from tilegb.bones import b3_poly, bone_polynomials, bone_system, nbone_prototiles, triangle
 from tilegb.groebner import (GroebnerBasis, basis_from_text, basis_to_text,
@@ -92,7 +93,7 @@ def test_confluence_under_randomized_selection():
                 perm = list(range(len(basis.elements)))
                 rng.shuffle(perm)
                 permuted = GroebnerBasis([basis.elements[i] for i in perm], basis.order,
-                                         basis.convention, verified=basis.verified)
+                                         basis.convention)
                 assert reduce(f, permuted).remainder == baseline
 
 
@@ -136,20 +137,23 @@ def test_divider_widens_and_reuses_wide_slots(make):
     for f, conv, got in results:
         want = reduce(f, dataclasses.replace(G), conv)
         assert (got.remainder, got.quotients) == (want.remainder, want.quotients)
-    bad = parse_poly("1 + y").mul_term(1, (-1, 0))
+    bad = Polynomial._make({(-1, 0): 1, (-1, 1): 1}, 2)
     with pytest.raises(ValueError):
         reduce(bad, G)
     # The cached divider is no field: equality, hashing and repr ignore it.
+    # A copy is unverified, since only a proof marks a basis verified.
     fresh = dataclasses.replace(G)
     assert "_divider" in vars(G) and "_divider" not in vars(fresh)
+    assert not fresh.verified
     assert G == fresh and repr(G) == repr(fresh)
     if isinstance(G.elements, tuple):
         assert hash(G) == hash(fresh)
 
 
 def test_negative_exponent_is_refused_not_misordered():
+    # Polynomial refuses negative exponents, so build one past its checks.
     basis = bone_system(3).basis
-    bad = parse_poly("1 + y").mul_term(1, (-1, 0))
+    bad = Polynomial._make({(-1, 0): 1, (-1, 1): 1}, 2)
     assert min(e for m in bad.terms for e in m) < 0
     with pytest.raises(ValueError):
         reduce(bad, basis)
@@ -321,13 +325,13 @@ def test_buchberger_rejects_bad_input():
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_buchberger_bones_matches_explicit_basis(n):
     gens = list(bone_polynomials(n))
-    completed = buchberger(gens, conv="nonneg", track_cofactors=True)
+    completed = buchberger(gens, conv="nonneg")
     basis = bone_system(n).basis
     for p in completed.elements:
         assert reduce(p, basis).remainder.is_zero()
     for p in basis.elements:
         assert reduce(p, completed).remainder.is_zero()
-    for elem, row in zip(completed.elements, completed.cofactors):
+    for elem, row in zip(completed.elements, lifted_rows(completed)):
         assert expand(row, completed.generators, Polynomial.zero()) == elem
 
 
@@ -350,12 +354,10 @@ def test_buchberger_random_inputs_verify():
             continue
         count += 1
         for conv in CONVENTIONS:
-            basis = buchberger(gens, conv=conv, track_cofactors=True)
-            # Tracking cofactors changes nothing about the elements.
-            assert buchberger(gens, conv=conv).elements == basis.elements
+            basis = buchberger(gens, conv=conv)
             fresh = GroebnerBasis(list(basis.elements), basis.order, basis.convention)
             assert verify_strong_gb(fresh).passed
-            for elem, row in zip(basis.elements, basis.cofactors):
+            for elem, row in zip(basis.elements, lifted_rows(basis)):
                 assert expand(row, basis.generators, Polynomial.zero()) == elem
             # generators lie in the ideal of the output
             for g in gens:
@@ -438,6 +440,34 @@ def test_ideal_member_refuses_unverified_basis():
     raw = GroebnerBasis(list(bone_polynomials(3)), convention="nonneg")
     with pytest.raises(ValueError):
         ideal_member(triangle(9), raw)
+
+
+def test_only_a_proof_marks_a_basis_verified():
+    # The raw 3-bone generators are not strong: marked verified, they would
+    # call T(8) a non-member and fold T(9) to a nonzero remainder.
+    raw = list(bone_polynomials(3))
+    with pytest.raises(TypeError):
+        GroebnerBasis(raw, LEX, "nonneg", verified=True)
+    with pytest.raises(TypeError):
+        GroebnerBasis(raw, LEX, "nonneg", _log=bone_system(3).basis._log)
+    with pytest.raises(TypeError):
+        buchberger(raw, LEX, "nonneg", track_cofactors=True)
+    copied = dataclasses.replace(bone_system(3).basis, elements=tuple(raw),
+                                 cofactors=None, generators=None)
+    assert not copied.verified and copied._log is None
+    with pytest.raises(ValueError):
+        ideal_member(triangle(8), copied)
+    assert remainder(triangle(9), copied) == reduce(triangle(9), copied).remainder
+    assert ideal_member(triangle(8), bone_system(3).basis)[0]
+    assert remainder(triangle(9), bone_system(3).basis).is_zero()
+
+
+def test_verification_keeps_equality_and_hash():
+    basis = GroebnerBasis(tuple(bone_system(4).basis.elements), LEX, "nonneg")
+    seen = {basis}
+    assert verify_strong_gb(basis).passed and basis.verified
+    assert basis in seen
+    assert basis == dataclasses.replace(basis) and repr(basis) == repr(dataclasses.replace(basis))
 
 
 # ---------------------------------------------------------------------------

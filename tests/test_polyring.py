@@ -116,6 +116,24 @@ def test_product_refuses_negative_exponents():
             other * neg
 
 
+@pytest.mark.parametrize("poly, coeff, shift", [
+    ("1", 1, (-1, 0)),       # would print as 1
+    ("x", 3, (-2, 1)),       # would print as 3*y
+    ("x + y", 2, (1,)),      # would lose y
+    ("x + y", 0, (0, -1)),   # a zero coefficient does not excuse the shift
+    ("x + y", 1, (0, 0, 1)),
+])
+def test_mul_term_refuses_a_shift_outside_the_ring(poly, coeff, shift):
+    with pytest.raises(ValueError):
+        parse_poly(poly).mul_term(coeff, shift)
+
+
+@pytest.mark.parametrize("index, nvars", [(5, 2), (-1, 2), (2, 2), (0, 0)])
+def test_variable_refuses_an_index_outside_the_ring(index, nvars):
+    with pytest.raises(ValueError):
+        Polynomial.variable(index, nvars)
+
+
 def test_product_is_one_method_for_both_sides():
     # The benchmark's tracer wraps the product where the class defines it.
     mul = Polynomial.__dict__["__mul__"]
