@@ -468,7 +468,7 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
     # applies, and one divider over the sorted elements serves every t.
     div = _Divider(polys, lts, order)
     for t, (gm, gc) in enumerate(lts):
-        tail = dict(polys[t].terms)
+        tail = polys[t].terms.copy()
         del tail[gm]
         qs, rem, codec = div.divide(tail, conv)
         if qs:

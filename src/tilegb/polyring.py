@@ -28,8 +28,10 @@ the position to report.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import add, lshift
+from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Sequence
 
 Mono = tuple[int, ...]
@@ -142,19 +144,20 @@ def _mul_packed(f: dict[Mono, int], g: dict[Mono, int], nvars: int) -> dict[Mono
 class Polynomial:
     """Immutable sparse polynomial over Z.
 
-    ``terms`` maps exponent tuples to nonzero integer coefficients; the zero
-    polynomial has an empty map.  All monomials share the arity ``nvars``,
-    and every exponent is non-negative: the constructor checks both, and
-    ``_make`` trusts its caller to keep them.  Products rely on it.
+    ``terms`` is a read-only map from exponent tuples to nonzero integer
+    coefficients; the zero polynomial has an empty map.  All monomials share
+    the arity ``nvars``, and every exponent is non-negative: the constructor
+    checks both, and ``_make`` trusts its caller to keep them.  Products
+    rely on it.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
 
-    def __init__(self, terms: dict[Mono, int] | Iterable[tuple[Mono, int]] | None = None,
+    def __init__(self, terms: Mapping[Mono, int] | Iterable[tuple[Mono, int]] | None = None,
                  nvars: int = 2):
         data: dict[Mono, int] = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
+            items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
                 mono = tuple(mono)
                 if len(mono) != nvars:
@@ -167,7 +170,7 @@ class Polynomial:
                 else:
                     data.pop(mono, None)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", data)
+        object.__setattr__(self, "terms", MappingProxyType(data))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -175,10 +178,11 @@ class Polynomial:
 
     @staticmethod
     def _make(data: dict[Mono, int], nvars: int) -> Polynomial:
-        # Internal: wrap an already-normalized term map without re-validating.
+        # Internal: wrap an already-normalized term map, which the caller
+        # hands over and keeps no reference to, without re-validating.
         p = object.__new__(Polynomial)
         object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", data)
+        object.__setattr__(p, "terms", MappingProxyType(data))
         object.__setattr__(p, "_hash", None)
         return p
 
@@ -231,7 +235,7 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(other, self.nvars)
         self._check_arity(other)
-        data = dict(self.terms)
+        data = self.terms.copy()  # dict(proxy) would copy key by key
         for mono, coeff in other.terms.items():
             c = data.get(mono, 0) + coeff
             if c:

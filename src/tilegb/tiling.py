@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 from typing import Iterable
 
 from . import bones, groebner
@@ -106,18 +106,22 @@ def verified_certificate(prototiles: list[Region], region: Region,
     return cert
 
 
+def _lifted_weights(G: groebner.GroebnerBasis, quotients: list[Polynomial],
+                    offsets: list[Cell]) -> list[tuple[int, Cell, int]]:
+    """``(tile, shift, c)`` for each term c * x^a y^b of each cofactor that
+    the quotients of a zero-remainder division by G lift to (one cofactor
+    per prototile, G's generators), shifted by the tile's offset."""
+    return [(tile_index, (a + oi, b + oj), c)
+            for tile_index, (cf, (oi, oj)) in enumerate(zip(G.lift(quotients), offsets))
+            for (a, b), c in sorted(cf.terms.items())]
+
+
 def _lifted_certificate(G: groebner.GroebnerBasis, quotients: list[Polynomial],
                         prototiles: list[Region], region: Region,
                         offsets: list[Cell]) -> Certificate:
-    """Certificate from a zero-remainder division by G: the quotients lift to
-    one cofactor per prototile (G's generators), and each cofactor term
-    c * x^a y^b becomes one placement of weight c, shifted by the tile's
-    offset."""
-    return verified_certificate(prototiles, region,
-                                ((tile_index, (a + oi, b + oj), c)
-                                 for tile_index, (cf, (oi, oj))
-                                 in enumerate(zip(G.lift(quotients), offsets))
-                                 for (a, b), c in sorted(cf.terms.items())))
+    """Certificate from a zero-remainder division by G: one placement per
+    lifted cofactor term (``_lifted_weights``)."""
+    return verified_certificate(prototiles, region, _lifted_weights(G, quotients, offsets))
 
 
 def tile_generators(prototiles: list[Region]) -> list[Polynomial]:
@@ -185,28 +189,58 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
 
 
 def certificate_nbone(m: int, n: int) -> Certificate:
-    """Signed-tiling certificate for the side-m triangle by n-bones: the
-    quotients of a division by the explicit strong basis, lifted through its
-    cofactor rows."""
+    """Signed-tiling certificate for the side-m triangle by n-bones.
+
+    With N = n^2, m is d*N or d*N - 1 for some d >= 1 (or m = 0), so m =
+    (d - 1)*N + k with k = N or N - 1.  Cut the plane into N x N blocks: block
+    (a, b) lies inside T(m) when a + b <= d - 2, meets it in a copy of T(k)
+    shifted by (a*N, b*N) when a + b = d - 1, and misses it otherwise.  Only
+    T(k) is divided by the explicit strong basis; its quotients are lifted
+    through the cofactor rows, and the weights are placed once per diagonal
+    block.  Each row j of the whole blocks, its first (d - 1 - j // N) * N
+    cells, is covered by horizontal bones.  Every base shift (a, b) has
+    a >= 0 and b < N, since no basis tail raises the total degree, so no
+    (tile, shift) is placed twice.  For m <= N the certificate is the plain
+    lift of T(m)'s quotients.
+    """
     if not bones.decide_nbone(m, n):
         raise ValueError(f"triangle of side {m} admits no signed tiling by {n}-bones")
+    N = n * n
+    d = max((m + 1) // N, 1)
+    k = m - (d - 1) * N
     bs = bones.bone_system(n)
-    t = bones.triangle(m)
-    res = groebner.reduce(t, bs.basis)
+    res = groebner.reduce(bones.triangle(k), bs.basis)
     if not res.remainder.is_zero():
         raise RuntimeError("internal error: admissible triangle did not reduce to zero")
-    region = frozenset(t.terms)
-    del t  # its term map is as large as the region; free it before the cofactors
-    return _lifted_certificate(bs.basis, res.quotients, bones.nbone_prototiles(n), region,
-                               [(0, 0)] * 3)
+    base = _lifted_weights(bs.basis, res.quotients, [(0, 0)] * 3)
+    copies = ((tile, (a + s * N, b + (d - 1 - s) * N), c)
+              for s in range(d) for tile, (a, b), c in base)
+    blocks = ((0, (i, j), 1)
+              for j in range((d - 1) * N) for i in range(0, (d - 1 - j // N) * N, n))
+    region = frozenset((i, j) for j in range(m) for i in range(m - j))
+    return verified_certificate(bones.nbone_prototiles(n), region, chain(copies, blocks))
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 def region_to_text(region: Region) -> str:
-    lines = [f"{i} {j}" for i, j in sorted(region, key=itemgetter(1, 0))]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One ``i j`` line per cell, ordered by j and then i: the cells are
+    grouped by row, and each row is sorted once and joined with its
+    ``" j\\n"`` suffix."""
+    rows: dict[int, list[int]] = {}
+    for i, j in region:
+        row = rows.get(j)
+        if row is None:
+            rows[j] = [i]
+        else:
+            row.append(i)
+    parts = []
+    for j in sorted(rows):
+        suffix = f" {j}\n"
+        parts.append(suffix.join(map(str, sorted(rows[j]))))
+        parts.append(suffix)
+    return "".join(parts)
 
 
 def parse_region_text(text: str) -> Region:

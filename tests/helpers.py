@@ -6,11 +6,13 @@ import math
 import random
 from pathlib import Path
 
+from tilegb.bones import bone_system, nbone_prototiles, triangle
 from tilegb.groebner import buchberger, reduce
 from tilegb.homology import AbelianGroup, snf
 from tilegb.polyring import LEX, Polynomial
-from tilegb.tiling import (TilingDecision, newton_polynomial, normalize_region,
-                           tile_generators, tile_reach, verified_certificate)
+from tilegb.tiling import (TilingDecision, _lifted_certificate, newton_polynomial,
+                           normalize_region, tile_generators, tile_reach,
+                           verified_certificate)
 
 PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "pinned.json"
 
@@ -146,3 +148,15 @@ def decide_by_full_division(region, prototiles, max_rounds=8):
                  for k, (cf, (oi, oj)) in enumerate(zip(cof, offsets))
                  for (a, b), c in sorted(cf.terms.items()))))
     return TilingDecision("no" if decisive else "inconclusive")
+
+
+def nbone_certificate_by_full_division(m, n):
+    """The n-bone certificate of T(m) computed the long way: all of T(m)
+    divided by the explicit basis, its quotients lifted through the
+    cofactor rows."""
+    basis = bone_system(n).basis
+    t = triangle(m)
+    res = reduce(t, basis)
+    assert res.remainder.is_zero()
+    return _lifted_certificate(basis, res.quotients, nbone_prototiles(n),
+                               frozenset(t.terms), [(0, 0)] * 3)

@@ -112,6 +112,19 @@ def test_shared_bone_basis_is_frozen():
     assert remainder(triangle(10), again.basis) == before == t_remainder_closed(10, 3)
 
 
+def test_shared_bone_basis_terms_are_read_only():
+    # A write into an element's term map once changed every later division
+    # by the cached basis: T(10) reduced to 2 + y instead of 1.
+    basis = bone_system(3).basis
+    with pytest.raises(TypeError):
+        basis.elements[2].terms[(0, 0)] = 4
+    with pytest.raises(TypeError):
+        basis.cofactors[2][0].terms[(0, 0)] = 4
+    assert basis.elements[2] == 3 * triangle(2)
+    assert remainder(triangle(10), basis) == Polynomial.constant(1)
+    assert reduce(triangle(10), basis).remainder == Polynomial.constant(1)
+
+
 def test_cofactor_rows_shape():
     rows = bone_system(3).basis.cofactors
     one = Polynomial.constant(1)

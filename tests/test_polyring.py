@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+from types import MappingProxyType
 
 import pytest
 
@@ -391,6 +392,19 @@ def test_polynomial_is_immutable_and_hashable():
     assert hash(p) == hash(parse_poly("y + x"))
     assert p == parse_poly("y + x")
     assert len({p, parse_poly("x + y")}) == 1
+    for q in (p, p * p, -p, p + 1, p.mul_term(2, (1, 0))):
+        with pytest.raises(TypeError):
+            q.terms[(5, 5)] = 1
+        with pytest.raises(TypeError):
+            del q.terms[(1, 0)]
+    assert p == parse_poly("x + y")
+
+
+def test_constructor_takes_any_mapping():
+    p = parse_poly("3*x^2 - y + 7")
+    assert Polynomial(p.terms) == p
+    assert Polynomial(MappingProxyType({(1, 0): 2, (0, 0): 0})) == Polynomial({(1, 0): 2})
+    assert Polynomial(list(p.terms.items())) == p
 
 
 def test_leading_term():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from helpers import decide_by_full_division
+from helpers import decide_by_full_division, nbone_certificate_by_full_division
 from tilegb import tiling
 from tilegb.bones import decide_nbone, nbone_prototiles, triangle
 from tilegb.polyring import Polynomial
@@ -91,6 +91,27 @@ def test_certificate_nbone_grid(n):
             cert = certificate_nbone(m, n)
             assert verify_certificate(cert)
             assert cert.region == tri_region(m)
+
+
+def _units(cert):
+    return sum(pl.count for pl in cert.placements)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_certificate_nbone_blocks_against_full_division(n):
+    # Beyond n^2 the certificate places copies of one base triangle plus
+    # whole blocks of horizontal bones; up to n^2 it is the plain lift.
+    for m in [0] + [k * n * n - less for k in (1, 2, 3) for less in (1, 0)]:
+        cert = certificate_nbone(m, n)
+        assert verify_certificate(cert), (n, m)
+        assert cert.region == tri_region(m)
+        keys = [(pl.tile, pl.shift) for pl in cert.placements]
+        assert len(set(keys)) == len(keys), (n, m)
+        ref = nbone_certificate_by_full_division(m, n)
+        if m <= n * n:
+            assert certificate_to_text(cert, "r") == certificate_to_text(ref, "r"), (n, m)
+        else:
+            assert _units(cert) <= _units(ref), (n, m)
 
 
 def test_certificate_nbone_figure_case():
@@ -292,6 +313,22 @@ def test_decide_empty_region():
 
 # ---------------------------------------------------------------------------
 # file formats
+
+def test_region_to_text_matches_sorted_reference():
+    rng = random.Random(19)
+    regions = [frozenset(), frozenset({(-3, -7)}),
+               frozenset((i, 4) for i in range(-9, 30, 3)),
+               frozenset((-2, j) for j in range(-15, 15))]
+    for _ in range(150):
+        i0, j0 = rng.randint(-60, 10), rng.randint(-60, 10)
+        w, h = rng.choice([(1, rng.randint(1, 40)), (rng.randint(1, 40), 1),
+                           (rng.randint(1, 40), rng.randint(1, 40))])
+        regions.append(frozenset((rng.randrange(i0, i0 + w), rng.randrange(j0, j0 + h))
+                                 for _ in range(rng.randint(1, 300))))
+    for region in regions:
+        expected = "".join(f"{i} {j}\n" for i, j in sorted(region, key=lambda c: (c[1], c[0])))
+        assert region_to_text(region) == expected
+
 
 def test_region_file_round_trip():
     region = frozenset({(-1, 5), (2, 3), (0, 0)})
