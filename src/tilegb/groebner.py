@@ -20,7 +20,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from operator import lshift
 from typing import Callable, Sequence
 
@@ -388,28 +388,49 @@ def g_polynomial(g: Polynomial, h: Polynomial, order: TermOrder = LEX) -> Polyno
 
 
 def _quotient_steps(packed: dict[int, dict[int, int]], codec: tuple[list[int], int],
-                    ids: Sequence[int], nvars: int) -> list[tuple[Polynomial, int]]:
+                    ids: Sequence[int], nvars: int) -> list[tuple[Callable[[], Polynomial], int]]:
     """Log steps (-q, node) for the nonzero quotients of a division, in
-    basis order."""
-    return [(-Polynomial._make(unpack(packed[k], *codec), nvars), ids[k]) for k in sorted(packed)]
+    basis order.  Each -q stays packed until ``lift`` reads its node."""
+    return [(partial(_negated_quotient, packed[k], codec, nvars), ids[k]) for k in sorted(packed)]
+
+
+def _negated_quotient(packed: dict[int, int], codec: tuple[list[int], int],
+                      nvars: int) -> Polynomial:
+    return -Polynomial._make(unpack(packed, *codec), nvars)
 
 
 def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
                conv: str = "minabs") -> GroebnerBasis:
     """Complete the generators to a strong Groebner basis over Z.
 
-    Pairs are processed FIFO; for each pair the S-polynomial is reduced (unless
-    the leading monomials are coprime and one leading coefficient divides the
-    other) and the G-polynomial is reduced when neither leading coefficient
-    divides the other.  Nonzero remainders are appended, their pairs queued.
+    Every pair of generators is queued, and every generator starts active.
+    Pairs are taken in queue order (first in, first out); for each pair the
+    S-polynomial is reduced (unless the leading monomials are coprime and one
+    leading coefficient divides the other) and the G-polynomial is reduced
+    when neither leading coefficient divides the other.  Nonzero remainders
+    are appended.
+
+    Appending follows the update rule of Gebauer and Moeller (J. Symb.
+    Comput. 6, 1988), stated for strong bases over Euclidean domains by
+    Lichtblau (Illinois J. Math. 56, 2012).  An appended element h is paired
+    with every active element.  Then each active g whose leading term h
+    divides as a term (LM(h) | LM(g) and LC(h) | LC(g)) leaves the active
+    set, and h joins it.  An inactive g keeps the pairs it already has in the
+    queue, its place in the divider and its log node, but gets no new pairs.
+    This is sound.  For a later element f and an inactive g, follow the
+    chain of newer elements that divide LT(g) down to the active element a.
+    Each pair on that chain was queued when its newer element arrived, so
+    S(f, g) is covered by the chain criterion, and the G-pair target of
+    (f, a) divides that of (f, g).
+
     The final basis is sign-normalized, purged of term-redundant elements,
     tail-reduced and sorted by descending leading monomial.
 
     Each element logs how it was made as a node: a pair's two term
     multipliers and (-q, node) per division quotient, a sign flip (-1, node),
-    a tail reduction (1, node) and its quotients.  The basis keeps the log
-    for ``lift``: lifting the i-th unit vector writes element i over the
-    generators.
+    a tail reduction (1, node) and its quotients.  The quotients stay packed
+    until ``lift`` reads them.  The basis keeps the log for ``lift``: lifting
+    the i-th unit vector writes element i over the generators.
     """
     if not generators:
         raise ValueError("empty generator list")
@@ -423,6 +444,7 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
 
     div = _Divider(polys, lts, order)
     queue: deque[tuple[int, int]] = deque((i, j) for j in range(len(polys)) for i in range(j))
+    active = list(range(len(polys)))
     while queue:
         i, j = queue.popleft()
         (mi, ci), (mj, cj) = lts[i], lts[j]
@@ -442,7 +464,12 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
                 polys.append(Polynomial._make(rem, nvars))
                 lts.append(polys[-1].leading_term(order))
                 div.append(polys[-1], lts[-1])
-                queue.extend((s, len(polys) - 1) for s in range(len(polys) - 1))
+                h = len(polys) - 1
+                queue.extend((s, h) for s in active)
+                hm, hc = lts[h]
+                active = [s for s in active
+                          if not (lts[s][1] % hc == 0 and mono_divides(hm, lts[s][0]))]
+                active.append(h)
 
     # Sign-normalize so leading coefficients are positive.
     for t, (m, c) in enumerate(lts):

@@ -39,12 +39,16 @@ class Combinations:
     def evaluate(self, weight: list) -> dict[int, object]:
         """``{original c: coefficient}`` of the combination with ``weight[k]``
         on node k, by one back-substitution in reverse creation order, which
-        uses up ``weight``.  Weights and coefficients are ints or polynomials."""
+        uses up ``weight``.  Weights and coefficients are ints or polynomials;
+        a coefficient may also be a callable that makes one, which is called
+        only when its node has weight."""
         z: dict[int, object] = {}
         for k in range(len(weight) - 1, -1, -1):
             w = weight[k]
             if w:
                 for coef, child in self.nodes[k]:
+                    if callable(coef):
+                        coef = coef()
                     if child >= 0:
                         weight[child] += w * coef
                     else:

@@ -137,7 +137,12 @@ def tile_generators(prototiles: list[Region]) -> list[Polynomial]:
 
 def tile_reach(prototiles: list[Region]) -> int:
     """One more than the largest bounding-box side (extent) of any prototile."""
-    return 1 + max(g.max_exponent(var) for g in tile_generators(prototiles) for var in (0, 1))
+    return _reach(tile_generators(prototiles))
+
+
+def _reach(gens: list[Polynomial]) -> int:
+    """``tile_reach`` of the prototiles whose generators are ``gens``."""
+    return 1 + max(g.max_exponent(var) for g in gens for var in (0, 1))
 
 
 def decide_signed_tiling(region: Region, prototiles: list[Region],
@@ -166,7 +171,7 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
     region_norm, (ri, rj) = normalize_region(region)
     f_region = newton_polynomial(region_norm)
     G = buchberger(gens, LEX, "nonneg")
-    d = tile_reach(prototiles)
+    d = _reach(gens)
 
     # A variable is tame when multiplication by it is invertible modulo the
     # ideal, so test monomials cannot change membership.

@@ -1,6 +1,7 @@
 """Strong Groebner machinery: division, critical pairs, completion, membership."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -362,6 +363,50 @@ def test_buchberger_random_inputs_verify():
             # generators lie in the ideal of the output
             for g in gens:
                 assert reduce(g, basis).remainder.is_zero()
+
+
+def test_completion_of_random_tile_sets_is_order_free_strong_and_lifts():
+    # The reduced strong basis is unique, so no order of the generators may
+    # change its text, whichever pairs completion skips on the way.
+    rng = random.Random(20)
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    for _ in range(100):
+        gens = tile_generators([frozenset(rng.sample(cells, rng.randint(2, 5)))
+                                for _ in range(rng.randint(1, 3))])
+        for conv in CONVENTIONS:
+            basis = buchberger(gens, conv=conv)
+            text = basis_to_text(basis)
+            for perm in itertools.islice(itertools.permutations(gens), 1, None):
+                assert basis_to_text(buchberger(list(perm), conv=conv)) == text
+            fresh = GroebnerBasis(list(basis.elements), basis.order, basis.convention)
+            assert verify_strong_gb(fresh).passed
+            for elem, row in zip(basis.elements, lifted_rows(basis)):
+                assert expand(row, basis.generators, Polynomial.zero()) == elem
+
+
+def test_completion_skips_pairs_of_elements_a_newer_leading_term_divides(monkeypatch):
+    # Pinned families 4, 10 and 14 under decide's convention: pairing every
+    # element with every older one takes 64 + 100 + 62 = 226 divisions; the
+    # update rule leaves 36 + 53 + 40.
+    families = [
+        [[(0, 0), (0, 1), (0, 2), (1, 2)], [(0, 1), (1, 0), (2, 0), (3, 0)],
+         [(0, 3), (1, 2), (2, 0), (2, 1)]],
+        [[(0, 0), (0, 1), (1, 1), (2, 1)], [(0, 2), (1, 1), (2, 0), (3, 0)],
+         [(0, 3), (1, 0), (1, 1), (1, 2)]],
+        [[(0, 0), (1, 0), (2, 0), (2, 1)], [(0, 1), (0, 2), (0, 3), (1, 0)],
+         [(0, 2), (1, 2), (2, 1), (3, 0)]],
+    ]
+    calls = []
+    divide = groebner._Divider.divide
+
+    def spy(self, terms, conv):
+        calls.append(conv)
+        return divide(self, terms, conv)
+
+    monkeypatch.setattr(groebner._Divider, "divide", spy)
+    for tiles in families:
+        buchberger(tile_generators([frozenset(t) for t in tiles]), LEX, "nonneg")
+    assert len(calls) <= 160
 
 
 def _lift_cases():
