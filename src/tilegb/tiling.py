@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable
 
 from . import bones, groebner
@@ -60,9 +60,13 @@ def normalize_region(region: Region) -> tuple[Region, Cell]:
     """Translate so both coordinates start at 0; returns the applied shift."""
     if not region:
         return region, (0, 0)
-    di = -min(i for i, _ in region)
-    dj = -min(j for _, j in region)
+    di, dj = _origin_shift(region)
     return translate_region(region, di, dj), (di, dj)
+
+
+def _origin_shift(region: Region) -> Cell:
+    """The shift that ``normalize_region`` applies to a nonempty region."""
+    return -min(i for i, _ in region), -min(j for _, j in region)
 
 
 def newton_polynomial(region: Region) -> Polynomial:
@@ -90,7 +94,7 @@ def verify_certificate(cert: Certificate) -> bool:
                 acc[cell] = v
             else:
                 del acc[cell]
-    return acc == {cell: 1 for cell in cert.region}
+    return acc.keys() == cert.region and set(acc.values()) <= {1}
 
 
 def verified_certificate(prototiles: list[Region], region: Region,
@@ -167,7 +171,7 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     # A placement of the normalized tile at (a, b) is the original tile at
     # (a + di, b + dj).
-    offsets = [normalize_region(t)[1] for t in prototiles]
+    offsets = [_origin_shift(t) for t in prototiles]
     region_norm, (ri, rj) = normalize_region(region)
     f_region = newton_polynomial(region_norm)
     G = buchberger(gens, LEX, "nonneg")
@@ -222,7 +226,7 @@ def certificate_nbone(m: int, n: int) -> Certificate:
               for s in range(d) for tile, (a, b), c in base)
     blocks = ((0, (i, j), 1)
               for j in range((d - 1) * N) for i in range(0, (d - 1 - j // N) * N, n))
-    region = frozenset((i, j) for j in range(m) for i in range(m - j))
+    region = frozenset(chain.from_iterable(zip(range(m - j), repeat(j)) for j in range(m)))
     return verified_certificate(bones.nbone_prototiles(n), region, chain(copies, blocks))
 
 

@@ -35,6 +35,19 @@ def random_poly(rng: random.Random, max_degree: int = 8, max_terms: int = 8,
     return Polynomial({m: c for m, c in terms.items() if c})
 
 
+def poly_with_terms(rng: random.Random, count: int, nvars: int = 2,
+                    coeff_bound: int = 3) -> Polynomial:
+    """A random polynomial of exactly ``count`` terms.  Each exponent is
+    below about (3 * count) ** (1 / nvars), so products of two such
+    polynomials share many monomials and cancel."""
+    spread = max(2, math.ceil((3 * count) ** (1 / nvars)))
+    terms = {}
+    while len(terms) < count:
+        mono = tuple(rng.randrange(spread) for _ in range(nvars))
+        terms[mono] = rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c])
+    return Polynomial(terms, nvars)
+
+
 def schoolbook_product(f: Polynomial, g: Polynomial | int) -> Polynomial:
     """f * g by the plain double loop, one exponent tuple per pair of terms:
     the reference for the packed product."""

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from helpers import (lifted_rows, periods_by_definition, pinned_families, random_poly,
-                     random_univariate)
+from helpers import (lifted_rows, periods_by_definition, pinned_families, poly_with_terms,
+                     random_poly, random_univariate)
 from tilegb import groebner
 from tilegb.bones import b3_poly, bone_polynomials, bone_system, nbone_prototiles, triangle
 from tilegb.groebner import (GroebnerBasis, basis_from_text, basis_to_text,
@@ -217,6 +217,22 @@ def test_remainder_matches_reduce(n):
         for m in sides:
             for f in (triangle(m), b3_poly(m)):
                 assert remainder(f, basis, conv) == reduce(f, basis, conv).remainder, (conv, m)
+
+
+@pytest.mark.parametrize("count", (7, 8, 9, 300))
+def test_division_on_both_sides_of_the_column_threshold(count):
+    # Division inputs of 8 terms or more are packed by columns, shorter ones
+    # term by term.  The period fold packs its keys once the input holds 8
+    # times the box of residues: here for 300 terms by 2- and 3-bones.
+    rng = random.Random(9000 + count)
+    completed = buchberger(tile_generators(pinned_families()[4]), conv="nonneg")
+    for basis in (bone_system(2).basis, bone_system(3).basis, completed):
+        for conv in CONVENTIONS:
+            for _ in range(3):
+                f = poly_with_terms(rng, count, coeff_bound=40)
+                res = reduce(f, basis, conv)
+                assert expand(res.quotients, basis.elements, res.remainder) == f
+                assert remainder(f, basis, conv) == res.remainder
 
 
 def test_remainder_does_not_fold_unverified_basis(monkeypatch):
@@ -456,6 +472,16 @@ def test_verify_raw_generators_fail_with_witness():
     report = verify_strong_gb(GroebnerBasis(list(bone_polynomials(3)), convention="nonneg"))
     assert not report.passed
     assert report.pair is not None
+    assert report.witness is not None and not report.witness.is_zero()
+
+
+def test_verify_finds_the_one_s_pair_that_does_not_reduce():
+    # Every pair is covered, and S(x^2 + y, x*y + 1) = y^2 - x reduces no
+    # further, so the S-pair check alone refuses the set.
+    report = verify_strong_gb(GroebnerBasis([parse_poly("x^2 + y"), parse_poly("x*y + 1")]))
+    assert report.passed is False
+    assert report.reason == "S-polynomial does not reduce to zero"
+    assert report.pair == (0, 1)
     assert report.witness is not None and not report.witness.is_zero()
 
 

@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 import pytest
 
-from helpers import random_poly, schoolbook_product
+from helpers import poly_with_terms, random_poly, schoolbook_product
 from tilegb.bones import b3_poly, bone_polynomials, triangle
 from tilegb.polyring import (LEX, Polynomial, PolyParseError, TermOrder,
                              coeff_divmod, diff_quotient, format_poly,
@@ -92,6 +92,19 @@ def test_product_matches_schoolbook(nvars, base):
             mono, c = next(iter(b))
             assert a.mul_term(c, mono) == schoolbook_product(a, Polynomial({mono: c}, nvars))
             assert a.mul_term(0, mono) == Polynomial.zero(nvars)
+
+
+@pytest.mark.parametrize("count", (7, 8, 9, 300))
+def test_products_on_both_sides_of_the_column_threshold(count):
+    # Term maps of 8 terms or more are packed by columns, shorter ones term
+    # by term; the longer operand's count decides the product's route.
+    rng = random.Random(8000 + count)
+    for nvars in (1, 2, 3):
+        for other in (1, 2, 7, 8, 9, min(count, 40)):
+            a = poly_with_terms(rng, count, nvars)
+            b = poly_with_terms(rng, other, nvars)
+            _check_products(a, b)
+            _check_products(b, a)
 
 
 def test_product_edge_operands():

@@ -394,6 +394,12 @@ def test_certificate_tile_index_outside_range_is_refused(line):
         parse_certificate_text(f"tiles=3 region=r\n{line}\n")
 
 
+def test_certificate_tile_index_error_names_line_and_range():
+    with pytest.raises(ValueError) as err:
+        parse_certificate_text("tiles=3 region=r\n+ 0 0 0\n+ 7 0 0\n")
+    assert str(err.value) == "line 3: tile index 7 outside 0..2"
+
+
 def test_certificate_sign_token_must_be_exact():
     with pytest.raises(ValueError):
         parse_certificate_text("tiles=3 region=r\n+- 0 0 0\n")
