@@ -82,8 +82,8 @@ class UsageError(Exception):
 
 
 # certificate and brion build the whole side-m triangle, so time and memory
-# grow as m^2: at m = 1024 certificate took 1.4-3.0 s (n = 2, 3, 8, 32) and
-# brion 0.9 s on one core of a Xeon server.  1024 still reaches the first
+# grow as m^2: at m = 1024 certificate took 1.3-3.0 s (n = 2, 3, 8, 32) and
+# brion 0.8 s on one core of a Xeon server.  1024 still reaches the first
 # tileable side, n^2 - 1, for every n <= 32.
 MAX_SIDE = 1024
 

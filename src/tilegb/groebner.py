@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .intlin import Combinations
 from .polyring import (CONVENTIONS, LEX, Mono, Polynomial, TermOrder,
-                       coeff_divmod, fold, format_poly, mono_div, mono_divides,
+                       coeff_divmod, format_poly, mono_div, mono_divides,
                        mono_lcm, pack, parse_poly, slot_shifts, unpack)
 
 
@@ -327,12 +327,19 @@ def remainder(f: Polynomial, G: GroebnerBasis, convention: str | None = None) ->
     """
     _checked_convention(f, G, convention)
     periods = G.periods if G.verified else ()
-    if f.terms and any(periods):
+    if any(periods):
+        # One exponent column per variable, checked and reduced by one call or
+        # comprehension each, so that no call runs per term.
         cols = list(zip(*f.terms))
-        if min(map(min, cols)) < 0:
+        if min(map(min, cols), default=0) < 0:
             raise ValueError("negative exponent; division needs exponents >= 0")
         mods = [a or max(col) + 1 for col, a in zip(cols, periods)]
-        f = Polynomial._make(fold(f.terms, cols, mods), f.nvars)
+        cols = [[e % a for e in col] for col, a in zip(cols, mods)]
+        folded: dict[Mono, int] = {}
+        get = folded.get
+        for m, c in zip(zip(*cols), f.terms.values()):
+            folded[m] = get(m, 0) + c
+        f = Polynomial._make({m: c for m, c in folded.items() if c}, f.nvars)
     return reduce(f, G, convention).remainder
 
 

@@ -6,17 +6,13 @@ from monomial to nonzero coefficient.  The default ring is Z[x, y].
 Products and division (``groebner._Divider``) work on packed monomials:
 each exponent gets a slot of ``width`` bits in one int, so multiplying two
 monomials is adding two ints.  ``slot_shifts`` places the slots, ``pack``
-encodes a term map and ``unpack`` decodes one.  Both switch on the size of
-the map at one threshold, ``_COLUMNS`` (8 terms).  A shorter map goes term
-by term, a monomial packed as ``sum(map(lshift, mono, shifts))``.  A longer
-one goes column by column, with one C-level map per variable and no
-interpreter frame per term: ``_pack_columns`` shifts each exponent column
-into its slot and sums the columns, and ``unpack`` takes each slot out of
-every packed monomial and zips the columns back into tuples.  Products and
-division inputs of long maps are packed this way, and so are the keys of
-``remainder``'s period fold (``fold``) when its input has at least 8 times
-as many terms as the box of residues.  The codec is exact only while every
-exponent met fits its slot.
+encodes a term map and ``unpack`` decodes one.  Encoding goes column by
+column for every map, with one C-level map per variable and no interpreter
+frame per term: ``_pack_columns`` shifts each exponent column into its
+slot and sums the columns.  Decoding does the same from 8 terms on, taking
+each slot out of every packed monomial and zipping the columns back into
+tuples; a shorter map is decoded term by term.  The codec is exact only
+while every exponent met fits its slot.
 A product sizes the width from its two operands.  A divider packs its
 basis once for all its calls, and widens the slots and re-packs the basis
 only when an input needs more bits than they hold, by the bound proved on
@@ -36,12 +32,11 @@ the position to report.
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, lshift, mod, mul
+from operator import add, lshift
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -100,63 +95,30 @@ def slot_shifts(width: int, precedence: Sequence[int]) -> list[int]:
     return shifts
 
 
-# Term maps of this many terms or more are packed and unpacked column by
-# column: one C-level map per variable spends no interpreter frame per
-# term, which wins from about 8 terms on.  Shorter maps go term by term.
-_COLUMNS = 8
-
-
 def pack(terms: Mapping[Mono, int], cols: Sequence[Iterable[int]],
          shifts: list[int]) -> dict[int, int]:
     """The term map on packed monomials, in the order of ``terms``: the
     inverse of ``unpack``.  ``cols`` are the exponent columns of ``terms``,
     one per variable, which every caller has read already to size the
-    slots.  From ``_COLUMNS`` terms on the columns are packed, below that
-    each term is."""
-    if len(terms) < _COLUMNS:
-        return {sum(map(lshift, m, shifts)): c for m, c in terms.items()}
+    slots."""
     return dict(zip(_pack_columns(cols, shifts), terms.values()))
 
 
-def _pack_columns(cols: Iterable[Iterable[int]], shifts: list[int]) -> Iterator[int]:
+def _pack_columns(cols: Iterable[Iterable[int]], shifts: list[int]) -> Iterable[int]:
     """The packed monomials whose exponent columns are ``cols``, one per
-    variable: each column is shifted into its slot by one map and the
-    shifted columns are summed by another, so no call runs per term."""
+    variable, as a lazy iterable: each column is shifted into its slot by
+    one map and the shifted columns are summed by another, so no
+    interpreter frame runs per term."""
     packed = None
     for col, shift in zip(cols, shifts):
         if shift:  # the lowest slot's column is packed as it is
             col = map(lshift, col, repeat(shift))
         packed = col if packed is None else map(add, packed, col)
-    return iter(packed)
-
-
-def fold(terms: Mapping[Mono, int], cols: Sequence[Iterable[int]],
-         mods: Sequence[int]) -> dict[Mono, int]:
-    """``terms`` with each exponent taken modulo its variable's entry of
-    ``mods``: terms that meet are summed and zero sums dropped.  ``cols``
-    are the exponent columns of ``terms``, all non-negative.
-
-    The sums run on packed keys, each column folded by one ``map``, when
-    ``terms`` holds ``_COLUMNS`` times as many terms as the box of residues
-    or more, so that the packed sums save more than decoding the result, at
-    most that box, costs.  Otherwise they run on exponent tuples."""
-    if len(terms) < _COLUMNS * math.prod(mods):
-        keys, shifts = zip(*[[e % a for e in col] for col, a in zip(cols, mods)]), None
-    else:
-        bits = (max(mods) - 1).bit_length() or 1
-        shifts = slot_shifts(bits, range(len(mods)))
-        keys = _pack_columns([map(mod, col, repeat(a)) for col, a in zip(cols, mods)], shifts)
-    folded: dict = {}
-    get = folded.get
-    for key, c in zip(keys, terms.values()):
-        folded[key] = get(key, 0) + c
-    live = {key: c for key, c in folded.items() if c}
-    return live if shifts is None else unpack(live, shifts, bits)
+    return repeat(0) if packed is None else packed  # an empty map, or no variables
 
 
 def unpack(terms: dict[int, int], shifts: list[int], bits: int) -> dict[Mono, int]:
-    """The term map of a packed one whose exponents have at most ``bits``
-    bits: the inverse of ``pack``."""
+    """Inverse of ``pack`` for exponents of at most ``bits`` bits."""
     return _decode(terms, terms.values(), shifts, bits)
 
 
@@ -164,60 +126,41 @@ def _decode(packed: Collection[int], coeffs: Iterable[int], shifts: list[int],
             bits: int) -> dict[Mono, int]:
     """The term map of packed monomials and their coefficients, in order."""
     slot = (1 << bits) - 1
-    if len(packed) < _COLUMNS:
+    if len(packed) < 8:
         return {tuple([(p >> s) & slot for s in shifts]): c for p, c in zip(packed, coeffs)}
+    # One column of exponents per variable, zipped into tuples at the end,
+    # spends no interpreter frame per term; it wins from about 8 terms on.
     cols = [[(p >> s) & slot for p in packed] for s in shifts]
     return dict(zip(zip(*cols), coeffs))
 
 
 def _mul_packed(f: dict[Mono, int], g: dict[Mono, int], nvars: int) -> dict[Mono, int]:
-    """Product of two term maps on packed monomials, g the shorter one.  The
-    slot width holds the sum of the two largest exponents, so no product
-    exponent carries.
+    """Product of two term maps on packed monomials.  The slot width holds
+    the sum of the two largest exponents, so no product exponent carries.
 
-    An f of fewer than ``_COLUMNS`` terms is packed and merged term by term
-    into an empty map.  A longer f is packed by columns, and the product
-    starts as f times g's first term, built in one ``dict(zip(...))``; only
-    g's other terms are then merged into it, each over the whole of f.  A
-    sum that cancels is dropped at once, and the accumulator is freed before
-    the result is built, so the two are never held at once."""
+    A sum that cancels is dropped at once, so a product that mostly cancels
+    (``verify_brion``'s) stays small while it runs, and the accumulator is
+    freed before the result is built, so the two are never held at once."""
     fcols, gcols = list(zip(*f)), list(zip(*g))
     if min(map(min, fcols + gcols)) < 0:
         raise ValueError("negative exponent; products need exponents >= 0")
     top = max(map(max, fcols)) + max(map(max, gcols))
     bits = top.bit_length() or 1
     shifts = slot_shifts(bits, range(nvars))
-    if len(f) < _COLUMNS:
-        acc: dict[int, int] = {}
-        get = acc.get
-        inner = [(sum(map(lshift, m, shifts)), c) for m, c in g.items()]
-        for m, c1 in f.items():  # packed inline: no generator step per term
-            p1 = sum(map(lshift, m, shifts))
-            for p2, c2 in inner:
-                p = p1 + p2
-                c = get(p, 0) + c1 * c2
-                if c:
-                    acc[p] = c
-                else:
-                    del acc[p]
-    else:
-        keys, coeffs = list(_pack_columns(fcols, shifts)), f.values()
-        rest = iter(pack(g, gcols, shifts).items())
-        p2, c2 = next(rest)
-        acc = dict(zip(map(add, keys, repeat(p2)), map(mul, coeffs, repeat(c2))))
-        get = acc.get
-        for p2, c2 in rest:
-            for p1, c1 in zip(keys, coeffs):
-                p = p1 + p2
-                c = get(p, 0) + c1 * c2
-                if c:
-                    acc[p] = c
-                else:
-                    del acc[p]
-        del keys
-    packed, values = list(acc), list(acc.values())
+    acc: dict[int, int] = {}
+    get = acc.get
+    inner = list(pack(g, gcols, shifts).items())
+    for p1, c1 in zip(_pack_columns(fcols, shifts), f.values()):
+        for p2, c2 in inner:
+            p = p1 + p2
+            c = get(p, 0) + c1 * c2
+            if c:
+                acc[p] = c
+            else:
+                del acc[p]
+    packed, coeffs = list(acc), list(acc.values())
     del acc, get
-    return _decode(packed, values, shifts, bits)
+    return _decode(packed, coeffs, shifts, bits)
 
 
 class Polynomial:

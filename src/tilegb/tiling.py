@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable
 
 from . import bones, groebner
@@ -94,7 +94,7 @@ def verify_certificate(cert: Certificate) -> bool:
                 acc[cell] = v
             else:
                 del acc[cell]
-    return acc.keys() == cert.region and set(acc.values()) <= {1}
+    return acc == {cell: 1 for cell in cert.region}
 
 
 def verified_certificate(prototiles: list[Region], region: Region,
@@ -226,7 +226,7 @@ def certificate_nbone(m: int, n: int) -> Certificate:
               for s in range(d) for tile, (a, b), c in base)
     blocks = ((0, (i, j), 1)
               for j in range((d - 1) * N) for i in range(0, (d - 1 - j // N) * N, n))
-    region = frozenset(chain.from_iterable(zip(range(m - j), repeat(j)) for j in range(m)))
+    region = frozenset((i, j) for j in range(m) for i in range(m - j))
     return verified_certificate(bones.nbone_prototiles(n), region, chain(copies, blocks))
 
 

@@ -221,9 +221,8 @@ def test_remainder_matches_reduce(n):
 
 @pytest.mark.parametrize("count", (7, 8, 9, 300))
 def test_division_on_both_sides_of_the_column_threshold(count):
-    # Division inputs of 8 terms or more are packed by columns, shorter ones
-    # term by term.  The period fold packs its keys once the input holds 8
-    # times the box of residues: here for 300 terms by 2- and 3-bones.
+    # Every division input is packed by columns; quotients and remainders of
+    # 8 terms or more are decoded by columns, shorter ones term by term.
     rng = random.Random(9000 + count)
     completed = buchberger(tile_generators(pinned_families()[4]), conv="nonneg")
     for basis in (bone_system(2).basis, bone_system(3).basis, completed):

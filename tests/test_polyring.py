@@ -96,8 +96,8 @@ def test_product_matches_schoolbook(nvars, base):
 
 @pytest.mark.parametrize("count", (7, 8, 9, 300))
 def test_products_on_both_sides_of_the_column_threshold(count):
-    # Term maps of 8 terms or more are packed by columns, shorter ones term
-    # by term; the longer operand's count decides the product's route.
+    # Term maps of 8 terms or more are decoded by columns, shorter ones term
+    # by term; operands and products here fall on both sides of that.
     rng = random.Random(8000 + count)
     for nvars in (1, 2, 3):
         for other in (1, 2, 7, 8, 9, min(count, 40)):
