@@ -113,6 +113,13 @@ MAX_BOX_CELLS = 256 ** 2
 MAX_BONE = 64
 
 
+# decide --region --tiles on a set that is not tame tests one more round per
+# --max-rounds, and the normal forms grow from round to round, so its time
+# grows faster than linearly: on the tile 1 + x + y and T(3), 256 rounds took
+# 0.6 s, 400 rounds 1.4 s and 800 rounds 5.7 s (subprocess wall time).
+MAX_ROUNDS = 256
+
+
 def _check_side(m: int) -> None:
     if m > MAX_SIDE:
         raise UsageError(f"--m {m} is above the limit of {MAX_SIDE}")
@@ -187,6 +194,8 @@ def _cmd_decide(args, out: list[str]) -> int:
         return 1
     if args.region is None or args.tiles is None:
         raise UsageError("decide needs both --region and --tiles")
+    if args.max_rounds > MAX_ROUNDS:
+        raise UsageError(f"--max-rounds {args.max_rounds} is above the limit of {MAX_ROUNDS}")
     region = tiling.parse_region_text(_read(args.region))
     prototiles = tiling.parse_tiles_text(_read(args.tiles))
     _check_extent(prototiles, region)

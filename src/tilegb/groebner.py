@@ -8,25 +8,31 @@ runs once and logs how it made each element from the generators
 (intlin.Combinations); ``lift`` back-substitutes quotients through that log.
 
 Every division goes through one packed divider (``_Divider``), which holds
-the basis's leading terms and tails as packed integers: a basis caches one
-for ``reduce``, ``remainder`` and ``periods``, and completion keeps one for
-the elements it has made, appending each new element to it.
+the basis's leading terms and tails as packed integers and has one division
+loop on packed terms.  A basis caches one divider: ``reduce`` and
+``remainder`` divide term maps through it, packing the input and unpacking
+the result, while ``periods`` and the rounds of
+``tiling.decide_signed_tiling`` step normal forms on its packed terms from
+one step to the next.  Completion keeps one divider for the elements it has
+made, forms each S- and G-pair from the packed terms of its two elements,
+decodes a remainder only when it is nonzero, and appends that element.
+``verify_strong_gb`` builds its S-polynomials as polynomials instead, so
+that it checks a basis by another route than the one that completed it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from operator import lshift
-from typing import Callable, Sequence
+from operator import add, lshift, sub
+from typing import Callable, Mapping, Sequence
 
 from .intlin import Combinations
 from .polyring import (CONVENTIONS, LEX, Mono, Polynomial, TermOrder,
-                       coeff_divmod, format_poly, mono_div, mono_divides,
+                       coeff_divmod, format_poly, mono_divides,
                        mono_lcm, pack, parse_poly, slot_shifts, unpack)
 
 
@@ -110,29 +116,48 @@ class GroebnerBasis:
         NF(1), which is 0 in the unit ideal; both rely on the unique normal
         forms that every strong basis has."""
         bound = 2 * max(g.degree() for g in self.elements) + 2
+        zero = (0,) * self.nvars
+        one = self._divider.divide({zero: 1}, self.convention)[1]  # a constant
+        return tuple(self._steps_to(one, tuple(int(i == var) for i in range(self.nvars)),
+                                    bound, one.get(zero, 0))
+                     for var in range(self.nvars))
 
-        def normal_form(terms: dict[Mono, int]) -> dict[Mono, int]:
-            return self._divider.divide(terms, self.convention)[1]
+    def _steps_to(self, nf: Mapping[Mono, int], step: Mono, limit: int,
+                  target: int) -> int | None:
+        """The smallest a in 1..limit with NF(x^(a*step) * nf) equal to the
+        constant ``target``, or None, for a normal form nf.
 
-        one = normal_form({(0,) * self.nvars: 1})
-        found: list[int | None] = []
-        for var in range(self.nvars):
-            step = tuple(int(i == var) for i in range(self.nvars))
-            nf = one
-            for a in range(1, bound + 1):
-                nf = normal_form({tuple(map(operator.add, m, step)): c for m, c in nf.items()})
-                if nf == one:
-                    found.append(a)
-                    break
-            else:
-                found.append(None)
-        return tuple(found)
+        Step a takes NF(x^step * r) of step a - 1's normal form r, which is
+        NF(x^(a*step) * nf) because a strong basis has unique normal forms.
+        The normal form stays packed from step to step: each step sizes the
+        slots from its largest exponents, shifts every packed monomial by
+        x^step and divides with the divider's packed loop.  Only when the
+        slots widen is it packed again."""
+        div, conv = self._divider, self.convention
+        goal = {0: target} if target else {}  # a constant is monomial 0 at every width
+        highs = list(map(max, zip(*nf))) or [0] * self.nvars
+        codec, work = None, nf
+        for a in range(1, limit + 1):
+            sized = div.codec_for(list(map(add, highs, step)))
+            if sized is not codec:  # the first step, or the slots widened
+                if codec is not None:
+                    work = unpack(work, shifts, bits)
+                codec = sized
+                bits, shifts = codec[0], codec[1]
+                work = pack(work, list(zip(*work)), shifts)
+                slot = (1 << bits) - 1
+                by = sum(map(lshift, step, shifts))
+            work = div.divide_packed({p + by: c for p, c in work.items()}, codec, conv)[1]
+            if work == goal:
+                return a
+            highs = [max([(p >> s) & slot for p in work], default=0) for s in shifts]
+        return None
 
     @cached_property
     def _divider(self) -> _Divider:
-        """The packed divider that ``reduce``, ``remainder`` and ``periods``
-        share.  A cached property is no field, so it takes no part in
-        equality, hashing or repr."""
+        """The packed divider that ``reduce``, ``remainder``, ``periods`` and
+        the stepped normal forms share.  A cached property is no field, so it
+        takes no part in equality, hashing or repr."""
         return _Divider(self.elements, self._lts, self.order)
 
 
@@ -166,12 +191,18 @@ class _Divider:
     with no guard bit set.
 
     ``codec`` holds the slot layout with every element's leading term and
-    tail packed in it.  A division whose input needs more bits than the
-    slots hold packs the elements again, once, at the width it needs and
-    makes that the codec; the division then runs on the codec it read or
-    made, so divisions that share a basis each run on slots wide enough for
-    their own input.  ``append`` adds an element, for the one caller
-    (completion) that owns the divider.
+    tail packed in it.  ``divide_packed`` is the one division loop, on a
+    packed term map and a codec.  Its callers size the slots first with
+    ``codec_for``: a division whose input needs more bits than the slots
+    hold packs the elements again, once, at the width it needs and makes
+    that the codec; the division then runs on the codec it read or made, so
+    divisions that share a basis each run on slots wide enough for their
+    own input.  ``divide`` wraps the loop for a term map on exponent tuples
+    (check, size, pack, divide, unpack); ``divide_pair`` forms an S- or
+    G-pair of two elements straight from their packed terms and divides it,
+    and ``GroebnerBasis._steps_to`` steps normal forms on packed terms.
+    ``append`` adds an element, for the one caller (completion) that owns
+    the divider.
 
     Slot width.  A division step multiplies a term by t / LM(g) for a tail
     term t of g.  The first position (in precedence order) where t and LM(g)
@@ -182,8 +213,9 @@ class _Divider:
     input exponent there and the sum bounds the steps that drop an earlier
     position.  A division needs the width of E_0 + ... + E_last, which
     covers every E_k, and of D.  D is the largest exponent of any element
-    the divider has held, which only overstates it.  Negative exponents fit
-    no slot and are refused.
+    the divider has held, which only overstates it, and so may e_k: a pair
+    is sized from its two elements' largest exponents.  Negative exponents
+    fit no slot and are refused.
 
     Deterministic rules: always attack the current leading term; use the
     first element (in list order) whose leading term gives a nonzero
@@ -201,6 +233,7 @@ class _Divider:
         self.top = 0  # D
         self.elements: list[Polynomial] = []
         self.lts: list[tuple[Mono, int]] = []
+        self.highs: list[list[int]] = []  # each element's largest exponent per variable
         self.codec = self._packing(1)
         for g, lt in zip(elements, lts):
             self.append(g, lt)
@@ -218,9 +251,11 @@ class _Divider:
         cols = list(zip(*g.terms))
         if min(map(min, cols)) < 0:
             raise ValueError(_NEGATIVE)
+        highs = list(map(max, cols))
         self.elements.append(g)
         self.lts.append(lt)
-        self.top = max(self.top, *map(max, cols))
+        self.highs.append(highs)
+        self.top = max(self.top, *highs)
         bits, shifts, _, plts, tails = self.codec
         if self.top.bit_length() > bits:
             self.codec = self._packing(self.top.bit_length())
@@ -229,7 +264,21 @@ class _Divider:
             plts.append(lead)
             tails.append(tail)
 
-    def divide(self, fterms: dict[Mono, int], conv: str) -> tuple[
+    def codec_for(self, highs: Sequence[int]):
+        """The codec for dividing an input whose largest exponent of each
+        variable is at most ``highs[var]``: the current one, or, when its
+        slots are too narrow for the bound in the class docstring, the
+        elements packed again at the width it needs, which becomes the
+        codec."""
+        codec, top, total = self.codec, self.top, 0
+        for v in self.prec:  # E_0 + ... + E_last
+            total += highs[v] + top * total
+        need = max(top, total).bit_length()
+        if need > codec[0]:
+            codec = self.codec = self._packing(need)
+        return codec
+
+    def divide(self, fterms: Mapping[Mono, int], conv: str) -> tuple[
             dict[int, dict[int, int]], dict[Mono, int], tuple[list[int], int]]:
         """Divide the term map: ({element index: packed quotient} for the
         nonzero quotients, remainder, (shifts, bits)), where
@@ -239,20 +288,55 @@ class _Divider:
         if cols:
             if min(map(min, cols)) < 0:
                 raise ValueError(_NEGATIVE)
-            highs, top, total = list(map(max, cols)), self.top, 0
-            for v in self.prec:  # E_0 + ... + E_last, as in the class docstring
-                total += highs[v] + top * total
-            need = max(top, total).bit_length()
-            if need > codec[0]:
-                codec = self.codec = self._packing(need)
-        bits, shifts, guard, plts, tails = codec
-        work = pack(fterms, cols, shifts)
+            codec = self.codec_for(list(map(max, cols)))
+        bits, shifts = codec[0], codec[1]
+        quotients, rem = self.divide_packed(pack(fterms, cols, shifts), codec, conv)
+        return quotients, unpack(rem, shifts, bits), (shifts, bits)
+
+    def divide_pair(self, i: int, j: int, left: tuple[int, Mono], right: tuple[int, Mono],
+                    conv: str) -> tuple[dict[int, dict[int, int]], dict[int, int],
+                                        tuple[list[int], int]]:
+        """Divide the pair a x^ma g_i + b x^mb g_j of elements i and j, for
+        ``_pair``'s multipliers left = (a, ma) and right = (b, mb), formed
+        from their packed leading terms and tails: (packed quotients, packed
+        remainder, (shifts, bits))."""
+        (a, ma), (b, mb) = left, right
+        codec = self.codec_for([max(e + s, f + t) for e, s, f, t
+                                in zip(self.highs[i], ma, self.highs[j], mb)])
+        bits, shifts, _, plts, tails = codec
+        sa, sb = sum(map(lshift, ma, shifts)), sum(map(lshift, mb, shifts))
+        work = {m + sa: a * c for m, c in tails[i]}
+        get = work.get
+        for m, c in tails[j]:
+            m += sb
+            c = get(m, 0) + b * c
+            if c:
+                work[m] = c
+            else:
+                del work[m]
+        # Both leading terms land on lcm(LM(g_i), LM(g_j)), above every tail
+        # term: an S-pair's two cancel there, a G-pair's leave gcd(LC).
+        (gm, gc), (_, hc) = plts[i], plts[j]
+        lead = a * gc + b * hc
+        if lead:
+            work[gm + sa] = lead
+        quotients, rem = self.divide_packed(work, codec, conv)
+        return quotients, rem, (shifts, bits)
+
+    def divide_packed(self, work: dict[int, int], codec, conv: str) -> tuple[
+            dict[int, dict[int, int]], dict[int, int]]:
+        """Divide the packed term map ``work``, which is consumed, by the
+        elements as packed in ``codec``, whose slots the caller has sized
+        with ``codec_for``: ({element index: packed quotient} for the
+        nonzero quotients, packed remainder)."""
+        _, _, guard, plts, tails = codec
         heap = [-p for p in work]
         heapq.heapify(heap)
         quotients: dict[int, dict[int, int]] = {}
         remainder: dict[int, int] = {}
+        pop, push, get = heapq.heappop, heapq.heappush, work.get
         while heap:
-            mono = -heapq.heappop(heap)
+            mono = -pop(heap)
             c = work.pop(mono, 0)
             if not c:
                 continue
@@ -268,13 +352,16 @@ class _Divider:
                         continue
                     for tm, tc in tails[gi]:
                         m2 = tm + shift
-                        v = work.get(m2, 0) - q * tc
-                        if v:
-                            if m2 not in work:
-                                heapq.heappush(heap, -m2)
-                            work[m2] = v
+                        v = get(m2)
+                        if v is None:
+                            push(heap, -m2)
+                            work[m2] = -q * tc
                         else:
-                            work.pop(m2, None)
+                            v -= q * tc
+                            if v:
+                                work[m2] = v
+                            else:
+                                del work[m2]
                     c = r
                     qd = quotients.get(gi)
                     if qd is None:
@@ -284,7 +371,7 @@ class _Divider:
                     break
             if c:
                 remainder[mono] = c
-        return quotients, unpack(remainder, shifts, bits), (shifts, bits)
+        return quotients, remainder
 
 
 def _packed_element(g: Polynomial, lt: tuple[Mono, int],
@@ -363,7 +450,7 @@ def _pair(lt_g: tuple[Mono, int], lt_h: tuple[Mono, int],
         cl = math.lcm(gc, hc)
         a, b = cl // gc, -(cl // hc)
     ml = mono_lcm(gm, hm)
-    return (a, mono_div(ml, gm)), (b, mono_div(ml, hm))
+    return (a, tuple(map(sub, ml, gm))), (b, tuple(map(sub, ml, hm)))
 
 
 def s_polynomial(g: Polynomial, h: Polynomial, order: TermOrder = LEX) -> Polynomial:
@@ -407,8 +494,11 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
     Pairs are taken in queue order (first in, first out); for each pair the
     S-polynomial is reduced (unless the leading monomials are coprime and one
     leading coefficient divides the other) and the G-polynomial is reduced
-    when neither leading coefficient divides the other.  Nonzero remainders
-    are appended.
+    when neither leading coefficient divides the other.  Each is formed from
+    ``_pair``'s term multipliers and the two elements' packed leading terms
+    and tails, and divided on packed terms by the divider that holds every
+    element made so far (``_Divider.divide_pair``).  A nonzero remainder is
+    decoded and appended; a zero one is never decoded.
 
     Appending follows the update rule of Gebauer and Moeller (J. Symb.
     Comput. 6, 1988), stated for strong bases over Euclidean domains by
@@ -448,20 +538,20 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
     while queue:
         i, j = queue.popleft()
         (mi, ci), (mj, cj) = lts[i], lts[j]
-        coprime = all(min(a, b) == 0 for a, b in zip(mi, mj))
+        coprime = not any(map(min, mi, mj))
         one_divides = ci % cj == 0 or cj % ci == 0
         for gcd_pair, wanted in ((False, not (coprime and one_divides)),
                                  (True, not one_divides)):
             if not wanted:
                 continue
-            (a, ma), (b, mb) = _pair(lts[i], lts[j], gcd_pair)
-            p = polys[i].mul_term(a, ma) + polys[j].mul_term(b, mb)
-            qs, rem, codec = div.divide(p.terms, conv)
+            left, right = _pair(lts[i], lts[j], gcd_pair)
+            qs, rem, codec = div.divide_pair(i, j, left, right, conv)
             if rem:
+                (a, ma), (b, mb) = left, right
                 ids.append(log.add([(Polynomial._make({ma: a}, nvars), ids[i]),
                                     (Polynomial._make({mb: b}, nvars), ids[j]),
                                     *_quotient_steps(qs, codec, ids, nvars)]))
-                polys.append(Polynomial._make(rem, nvars))
+                polys.append(Polynomial._make(unpack(rem, *codec), nvars))
                 lts.append(polys[-1].leading_term(order))
                 div.append(polys[-1], lts[-1])
                 h = len(polys) - 1
@@ -526,7 +616,12 @@ class VerifyReport:
 def verify_strong_gb(G: GroebnerBasis) -> VerifyReport:
     """Check the two strong-basis conditions: every pair of leading terms is
     covered by some element dividing both lcm(LM) and gcd(LC), and every
-    S-polynomial reduces to zero."""
+    S-polynomial reduces to zero.
+
+    The S-polynomials are built as polynomials (``s_polynomial``) and
+    divided through ``reduce``, not formed from packed terms as completion
+    forms its pairs, so that the check of a completed basis does not rest
+    on the pair code that completed it."""
     lts = G._lts
     n = len(lts)
     for i in range(n):

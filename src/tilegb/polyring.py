@@ -81,7 +81,7 @@ def mono_div(u: Mono, v: Mono) -> Mono:
 
 
 def mono_lcm(u: Mono, v: Mono) -> Mono:
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return tuple(map(max, u, v))
 
 
 def slot_shifts(width: int, precedence: Sequence[int]) -> list[int]:

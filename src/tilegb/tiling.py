@@ -158,7 +158,9 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
     more than the largest prototile extent (a cofinal test sequence).  Round
     0 takes the normal form r_0 of f_region (folded by the variable periods);
     round t takes r_t = NF((xy)^D * r_(t-1)), which is NF((xy)^(t*D) *
-    f_region) because a strong basis gives unique normal forms.  Only when
+    f_region) because a strong basis gives unique normal forms.  The basis
+    steps the rounds on its packed terms (``GroebnerBasis._steps_to``), up
+    to the first zero normal form.  Only when
     some r_t is zero is (xy)^(t*D) * f_region divided with quotients, which
     the basis lifts through its completion log to cofactors over the
     prototiles for the certificate.  The answer 'no' is definitive only when
@@ -183,18 +185,16 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
             for var in range(2)]
     decisive = all(tame)
 
-    rounds = 0 if decisive else max_rounds
     nf = groebner.remainder(f_region, G)
-    for t in range(rounds + 1):
-        if t:
-            nf = groebner.remainder(nf.mul_term(1, (d, d)), G)
-        if not nf.is_zero():
-            continue
-        res = groebner.reduce(f_region.mul_term(1, (t * d, t * d)), G)
-        shifted = [(oi - t * d - ri, oj - t * d - rj) for oi, oj in offsets]
-        return TilingDecision("yes", _lifted_certificate(G, res.quotients, prototiles,
-                                                         region, shifted))
-    return TilingDecision("no" if decisive else "inconclusive")
+    t = 0 if nf.is_zero() else None
+    if t is None and not decisive:
+        t = G._steps_to(nf.terms, (d, d), max_rounds, 0)
+    if t is None:
+        return TilingDecision("no" if decisive else "inconclusive")
+    res = groebner.reduce(f_region.mul_term(1, (t * d, t * d)), G)
+    shifted = [(oi - t * d - ri, oj - t * d - rj) for oi, oj in offsets]
+    return TilingDecision("yes", _lifted_certificate(G, res.quotients, prototiles,
+                                                     region, shifted))
 
 
 def certificate_nbone(m: int, n: int) -> Certificate:

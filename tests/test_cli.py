@@ -89,6 +89,17 @@ def test_decide_generic_inconclusive(tmp_path):
     assert (code, out) == (3, "INCONCLUSIVE\n")
 
 
+def test_decide_max_rounds_above_the_limit_is_usage_error(tmp_path, capsys):
+    # The tile 1 + x + y is not tame, so every round up to the limit runs.
+    rpath = region_file(tmp_path, "t3.region", tri(3))
+    tpath = region_file(tmp_path, "corner.tiles", [(0, 0), (1, 0), (0, 1)])
+    argv = ["decide", "--region", rpath, "--tiles", tpath, "--max-rounds"]
+    capsys.readouterr()
+    assert run(argv + ["256"]) == (3, "INCONCLUSIVE\n")
+    assert run(argv + ["257"]) == (2, "")
+    assert capsys.readouterr().err == "error: --max-rounds 257 is above the limit of 256\n"
+
+
 def test_decide_negative_max_rounds_is_usage_error(tmp_path, capsys):
     rpath = region_file(tmp_path, "diag.region", [(0, 0), (1, 1)])
     tpath = tmp_path / "diag.tiles"

@@ -181,10 +181,33 @@ def test_periods_absent_when_no_pure_power_is_one():
     assert GroebnerBasis([parse_poly("x + 1")]).periods == (2, None)
 
 
+def test_stepped_normal_forms_widen_the_slots_as_they_grow():
+    # Modulo x - y^7, NF(x^a) is y^(7a): the search for x's period ends at
+    # NF(x^16) = y^112, which needs 7 exponent bits where its first step
+    # needed 4, so each step sizes the slots from its own normal form.
+    G = GroebnerBasis([parse_poly("x - y^7")])
+    assert G.periods == (None, None)
+    assert G._divider.codec[0] >= (112).bit_length()
+    assert G.periods == periods_by_definition(G)
+
+
 def test_periods_of_unit_ideal():
     # NF(1) is 0 in the unit ideal, so the stepped search must compare with
     # NF(1), not with 1.
     assert buchberger([Polynomial.constant(1)]).periods == (1, 1)
+
+
+def test_periods_after_the_shared_divider_has_widened():
+    # A division with an exponent of 2^80 widens the basis's cached divider
+    # first; the stepped search then runs on those wide slots.
+    huge = 2 ** 80
+    for k in (3, 5, 9, 14):
+        G = buchberger(tile_generators(pinned_families()[k]), conv="nonneg")
+        f = G.elements[0].mul_term(1, (huge, 1)) + parse_poly("1 + x*y")
+        assert reduce(f, G).remainder == reduce(parse_poly("1 + x*y"), G).remainder
+        assert G._divider.codec[0] > 80 and "periods" not in vars(G)
+        assert G.periods == periods_by_definition(G)
+        assert G.periods == dataclasses.replace(G).periods
 
 
 def test_periods_match_definition():
@@ -399,6 +422,27 @@ def test_completion_of_random_tile_sets_is_order_free_strong_and_lifts():
                 assert expand(row, basis.generators, Polynomial.zero()) == elem
 
 
+@pytest.mark.parametrize("k", (4, 64))
+def test_completion_widens_slots_at_pair_time(k):
+    # Every exponent of the generators fits k bits, but the pairs reach
+    # y^(2c), which needs k + 1; the G-pair of 2 and 3 is taken too.
+    c = 2 ** k - 1
+    gens = [Polynomial({(1, 0): 2, (0, c): 1}), Polynomial({(1, c): 3, (0, 0): -1})]
+    want = [Polynomial({(1, c): 1, (0, 2 * c): -1, (0, 0): -1}),
+            Polynomial({(1, 0): 2, (0, c): 1}), Polynomial({(0, 2 * c): 3, (0, 0): 2})]
+    for conv in CONVENTIONS:
+        texts = set()
+        for perm in itertools.permutations(gens):
+            basis = buchberger(list(perm), conv=conv)
+            texts.add(basis_to_text(basis))
+            assert verify_strong_gb(dataclasses.replace(basis)).passed
+            for elem, row in zip(basis.elements, lifted_rows(basis)):
+                assert expand(row, basis.generators, Polynomial.zero()) == elem
+        assert len(texts) == 1
+        if conv == "minabs":
+            assert basis.elements == want
+
+
 def test_completion_skips_pairs_of_elements_a_newer_leading_term_divides(monkeypatch):
     # Pinned families 4, 10 and 14 under decide's convention: pairing every
     # element with every older one takes 64 + 100 + 62 = 226 divisions; the
@@ -411,17 +455,20 @@ def test_completion_skips_pairs_of_elements_a_newer_leading_term_divides(monkeyp
         [[(0, 0), (1, 0), (2, 0), (2, 1)], [(0, 1), (0, 2), (0, 3), (1, 0)],
          [(0, 2), (1, 2), (2, 1), (3, 0)]],
     ]
+    # Each count takes in the four tail reductions of the final basis.  The
+    # spy sits on the packed loop, which every pair and tail division runs.
     calls = []
-    divide = groebner._Divider.divide
+    divide_packed = groebner._Divider.divide_packed
 
-    def spy(self, terms, conv):
-        calls.append(conv)
-        return divide(self, terms, conv)
+    def spy(self, work, codec, conv):
+        calls[-1] += 1
+        return divide_packed(self, work, codec, conv)
 
-    monkeypatch.setattr(groebner._Divider, "divide", spy)
+    monkeypatch.setattr(groebner._Divider, "divide_packed", spy)
     for tiles in families:
+        calls.append(0)
         buchberger(tile_generators([frozenset(t) for t in tiles]), LEX, "nonneg")
-    assert len(calls) <= 160
+    assert calls == [36, 53, 40]
 
 
 def _lift_cases():

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from helpers import decide_by_full_division, nbone_certificate_by_full_division
+from helpers import (decide_by_full_division, nbone_certificate_by_full_division,
+                     pinned_families)
 from tilegb import tiling
 from tilegb.bones import decide_nbone, nbone_prototiles, triangle
 from tilegb.polyring import Polynomial
@@ -175,11 +176,21 @@ def test_weighted_certificates_verify_and_reject_tampering():
                                                       cert.region))
 
 
-@pytest.mark.parametrize("n, m, units, distinct", [(3, 18, 291_309, 137),
-                                                   (4, 16, 2_122_458, 96)])
-def test_decide_certificate_sizes(n, m, units, distinct):
+# The four YES cases of the pinned families (perfbench/pinned.json) at T(7)
+# pin the completion log: a change in how completion makes an element
+# changes the lifted cofactors and so these sizes.
+@pytest.mark.parametrize("tiles, m, units, distinct", [
+    (3, 18, 291_309, 137), (4, 16, 2_122_458, 96),
+    ("family2", 7, 217, 41), ("family3", 7, 3_207, 169),
+    ("family4", 7, 40_773, 370), ("family14", 7, 620_925, 237)])
+def test_decide_certificate_sizes(tiles, m, units, distinct):
+    # ``tiles`` is n for the n-bones, or "family<k>" for pinned family k.
+    if isinstance(tiles, int):
+        prototiles = nbone_prototiles(tiles)
+    else:
+        prototiles = pinned_families()[int(tiles.removeprefix("family"))]
     start = time.perf_counter()
-    cert = decide_signed_tiling(tri_region(m), nbone_prototiles(n)).certificate
+    cert = decide_signed_tiling(tri_region(m), prototiles).certificate
     assert verify_certificate(cert)
     assert time.perf_counter() - start < 1.0
     assert len(cert.placements) == distinct
