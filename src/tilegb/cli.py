@@ -97,11 +97,13 @@ MAX_EXPONENT = MAX_SIDE ** 2
 
 
 # oracle builds one unknown per placement and one equation per cell of its
-# box: a 1023 x 1023 box took 11 s and 1.1 GB, a 255 x 255 box about 0.5 s
-# and 84 MB.  The side limit alone bounds only thin boxes.  homology --box D
-# builds one generator per cell and one relation per tile translate, so it
-# refuses D^2 above the same limit (D > 256): D = 3000 raised MemoryError
-# under a 2 GB address-space limit.
+# box: a 1023 x 1023 box took 11 s and 1.1 GB.  With the 3-bones near this
+# limit, a no (T(3), a 255 x 255 box) takes about 1.5 s and 170 MB, a yes
+# (T(8), a 254 x 254 box) about 48 s and 1.7 GB, since only a yes logs how
+# its solution is combined.  The side limit alone bounds only thin boxes.
+# homology --box D builds one generator per cell and one relation per tile
+# translate, so it refuses D below 1 and D^2 above the same limit (D > 256):
+# D = 3000 raised MemoryError under a 2 GB address-space limit.
 MAX_BOX_CELLS = 256 ** 2
 
 
@@ -298,6 +300,8 @@ def _cmd_homology(args, out: list[str]) -> int:
         _check_extent(prototiles)
     stabilized = True
     if args.box is not None:
+        if args.box < 1:
+            raise UsageError(f"--box {args.box} is below 1")
         if args.box ** 2 > MAX_BOX_CELLS:
             raise UsageError(f"the box of {args.box} x {args.box} = {args.box ** 2} cells "
                              f"is above the limit of {MAX_BOX_CELLS} cells")

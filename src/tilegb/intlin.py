@@ -13,7 +13,8 @@ for original vector c, and each pivot carries the id of its node.  A vector
 that reduces to zero drops its steps.  lattice_express evaluates the nodes
 only when the target lies in the lattice, once, in reverse creation order
 (back-substitution, as with the transform of a Hermite form).  Completion
-logs its basis elements the same way, and ``evaluate`` serves both.
+logs its basis elements the same way, and ``evaluate`` serves both.  Without
+a log, lattice_express only tests membership.
 """
 
 from __future__ import annotations
@@ -131,13 +132,14 @@ def echelon_insert(pivots: dict[int, dict[int, int]], vec: dict[int, int],
     return None
 
 
-def lattice_express(pivots: dict[int, dict[int, int]], combos: Combinations,
+def lattice_express(pivots: dict[int, dict[int, int]], combos: Combinations | None,
                     target: dict[int, int]) -> dict[int, int] | None:
     """Some integer combination ``{original vector: coef}`` of the inserted
     vectors that equals ``target``, or None when the target is not in their
-    lattice."""
+    lattice.  With ``combos`` None it only tests membership: ``{}`` for a
+    member, None otherwise."""
     vec = dict(target)
-    weight = [0] * len(combos.nodes)
+    weight = [0] * len(combos.nodes) if combos is not None else None
     while vec:
         j = min(vec)
         piv = pivots.get(j)
@@ -145,5 +147,8 @@ def lattice_express(pivots: dict[int, dict[int, int]], combos: Combinations,
             return None
         q = vec[j] // piv[j]
         axpy(vec, -q, piv)
-        weight[combos.node_of[j]] = q
+        if weight is not None:
+            weight[combos.node_of[j]] = q
+    if combos is None:
+        return {}
     return {c: v for c, v in combos.evaluate(weight).items() if v}

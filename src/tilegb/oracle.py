@@ -3,8 +3,9 @@
 Independent of the Groebner route: a signed tiling restricted to a box is an
 integer solution of A z = t, where columns of A are indicators of prototile
 placements inside the box and t is the region indicator.  Solved exactly by
-Hermite-style column elimination; the column combinations are logged as
-steps and back-substituted into z only when a solution exists.  A failure
+Hermite-style column elimination, twice: a log-free pass tests whether t lies
+in the column lattice at all, and only when it does, a second pass logs the
+column combinations as steps and back-substitutes them into z.  A failure
 only rules out tilings confined to the box, so it is reported as
 ``no_solution_in_box`` rather than a definitive no.
 """
@@ -48,9 +49,13 @@ def _solve_rows(rows: list[dict[int, int]], ncols: int, t: list[int]) -> list[in
     """Some integer solution z (length ``ncols``) of the sparse-row system
     rows z = t, or None when none exists.
 
-    Columns are inserted into an echelon lattice with their combinations
-    logged as steps; t is then expressed over the lattice, and z is built
-    from the log only when it is.
+    Membership first: copies of the columns go into an echelon lattice with
+    no log, from the far end (descending first row, then descending index),
+    which runs far shorter Euclid chains, and a t outside the lattice returns
+    None at once.  Only for a member are the columns inserted again,
+    sparsest-leading first, with their combinations logged as steps; t is
+    expressed over that lattice and z is built from the log.  That order
+    keeps the witness, and so the certificate, small.
     """
     columns: list[dict[int, int]] = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -58,13 +63,17 @@ def _solve_rows(rows: list[dict[int, int]], ncols: int, t: list[int]) -> list[in
             columns[c][i] = v
     # Insert sparsest-leading first: distinct leading rows insert without work.
     order = sorted(range(ncols), key=lambda c: (min(columns[c], default=len(rows)), c))
+    target = {i: v for i, v in enumerate(t) if v}
     pivots: dict[int, dict[int, int]] = {}
+    for c in reversed(order):
+        echelon_insert(pivots, dict(columns[c]))
+    if lattice_express(pivots, None, target) is None:
+        return None
+    pivots = {}
     combos = Combinations()
     for c in order:
         echelon_insert(pivots, columns[c], combos, [(1, ~c)])
-    combo = lattice_express(pivots, combos, {i: v for i, v in enumerate(t) if v})
-    if combo is None:
-        return None
+    combo = lattice_express(pivots, combos, target)
     z = [0] * ncols
     for c, v in combo.items():
         z[c] = v

@@ -550,6 +550,14 @@ def test_oracle_negative_margin_is_usage_error(tmp_path, capsys, bones3_file):
     assert usage_error(capsys, argv) == "negative margin"
 
 
+@pytest.mark.parametrize("box", ["0", "-3", "-300"])
+def test_homology_box_below_one_is_usage_error(capsys, box):
+    # Checked before the cell limit and the prototile extent, which would
+    # otherwise misreport -300 as 90,000 cells and -3 as too small a side.
+    argv = ["homology", "--n", "2", "--box", box]
+    assert usage_error(capsys, argv) == f"--box {box} is below 1"
+
+
 def test_render_needs_exactly_one_source(tmp_path, capsys, cert83):
     region = region_file(tmp_path, "t3.region", tri(3))
     out = str(tmp_path / "out.txt")

@@ -16,20 +16,32 @@ def box_rows():
     return box_presentation(pinned_families()[15], 16), None
 
 
-def placement_columns():
-    # The oracle's columns in its insertion order (sparsest-leading first),
-    # logged as the oracle logs them.
+def family_9_columns():
+    # The oracle's columns of family 9 on T(3) at margin 2, sparsest-leading
+    # first (ties by column index).
     system = placement_system(tri_region(3), pinned_families()[9], 2)
     columns = [{} for _ in system.placements]
     for i, row in enumerate(system.matrix):
         for c, v in row.items():
             columns[c][i] = v
     columns.sort(key=min)
-    return columns, Combinations()
+    return columns
 
 
-@pytest.mark.parametrize("vectors", [box_rows, placement_columns],
-                         ids=["box-family-15-D16", "placements-family-9-T3"])
+def placement_columns():
+    # In the oracle's logged insertion order, logged as the oracle logs them.
+    return family_9_columns(), Combinations()
+
+
+def far_end_columns():
+    # In the order of the oracle's membership pass, from the far end
+    # (descending first row, then descending column index), with no log.
+    return family_9_columns()[::-1], None
+
+
+@pytest.mark.parametrize("vectors", [box_rows, placement_columns, far_end_columns],
+                         ids=["box-family-15-D16", "placements-family-9-T3",
+                              "far-end-placements-family-9-T3"])
 def test_pivot_entries_stay_bounded(vectors):
     # Without size reduction the largest entries reach 7,656 bits on the box
     # rows and 444,613 bits on the placement columns.

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import tilegb.oracle
 from helpers import brute_minor_gcd, pinned_families
 from tilegb.bones import decide_nbone, nbone_prototiles
 from tilegb.cli import run
@@ -223,6 +224,47 @@ def test_oracle_certificate_has_one_placement_per_nonzero_entry():
     assert len(weights) == len(decision.certificate.placements)
     assert weights == {(p.tile, p.shift): z for z, p in zip(decision.solution,
                                                             system.placements) if z}
+
+
+@pytest.mark.parametrize("tiles,m,margin,units,distinct", [
+    # "family<k>" is pinned family k; 3 is the 3-bones.
+    ("family2", 7, 1, 71, 35), ("family2", 7, 2, 121, 48),
+    ("family3", 7, 1, 61, 32), ("family3", 7, 2, 1955, 47),
+    ("family4", 7, 1, 43, 33), ("family4", 7, 2, 55751, 48),
+    ("family14", 7, 1, 49, 32), ("family14", 7, 2, 362247, 44),
+    ("family17", 7, 1, 41, 31), ("family17", 7, 2, 85, 41),
+    ("family18", 7, 1, 53, 35), ("family18", 7, 2, 133, 52),
+    (3, 8, 6, 84, 56), (3, 9, 6, 93, 61),
+])
+def test_oracle_certificate_sizes(tiles, m, margin, units, distinct):
+    # The witness comes from the columns inserted sparsest-leading first;
+    # inserted from the far end instead, 10 of the 12 family certificates
+    # grow (family 3 at margin 2 to 19,113 units).
+    if isinstance(tiles, int):
+        prototiles = nbone_prototiles(tiles)
+    else:
+        prototiles = pinned_families()[int(tiles.removeprefix("family"))]
+    cert = oracle_decide(tri_region(m), prototiles, margin).certificate
+    assert verify_certificate(cert)
+    assert len(cert.placements) == distinct
+    assert sum(p.count for p in cert.placements) == units
+
+
+def test_oracle_logs_combinations_only_for_a_yes(monkeypatch):
+    # Membership is tested on an echelon with no log, so a
+    # no_solution_in_box builds none, and a yes builds exactly one.
+    built = []
+
+    class Spy(tilegb.oracle.Combinations):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(tilegb.oracle, "Combinations", Spy)
+    assert not oracle_decide(tri_region(2), nbone_prototiles(2), 3).solvable
+    assert built == []
+    assert oracle_decide(tri_region(3), nbone_prototiles(2), 4).solvable
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("m", range(3, 8))
