@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .groebner import buchberger, remainder
 from .intlin import echelon_insert, size_reduce
+from .oracle import _translates
 from .polyring import Polynomial, mono_div, mono_divides
 from .tiling import Region, tile_generators
 
@@ -100,12 +101,7 @@ def _sparse_invariants(rows) -> tuple[list[int], int]:
 def snf(M: list[list[int]]) -> tuple[list[int], int]:
     """Smith normal form invariants of an integer matrix: the positive
     diagonal d1 | d2 | ... | dr and the rank r over the rationals."""
-    rows = []
-    for row in M:
-        vec = {j: v for j, v in enumerate(row) if v}
-        if vec:
-            rows.append(vec)
-    return _sparse_invariants(rows)
+    return _sparse_invariants([{j: v for j, v in enumerate(row) if v} for row in M])
 
 
 def _cokernel(rows, ngens: int) -> AbelianGroup:
@@ -156,17 +152,15 @@ def box_presentation(prototiles: list[Region], box_side: int) -> list[dict[int, 
     """All translates of each prototile fully supported in [0, D)^2, as sparse
     relation rows over the D^2 cell generators (cell (p, q) -> p*D + q)."""
     d = box_side
-    relations: list[dict[int, int]] = []
     for poly in tile_generators(prototiles):
-        w = poly.max_exponent(0)
-        h = poly.max_exponent(1)
-        if w >= d or h >= d:
-            raise ValueError(f"box side {d} too small for a prototile of extent {max(w, h) + 1}")
-        base = sorted(poly.terms.items())
-        for a in range(d - w):
-            for b in range(d - h):
-                relations.append({(p + a) * d + (q + b): c for (p, q), c in base})
-    return relations
+        extent = 1 + max(poly.max_exponent(0), poly.max_exponent(1))
+        if extent > d:
+            raise ValueError(f"box side {d} too small for a prototile of extent {extent}")
+    # p*D + q is the oracle's index of the transposed cell (q, p), and its
+    # shifts then run over p outside and q inside, the order of the rows.
+    translates, _ = _translates([frozenset((q, p) for p, q in tile) for tile in prototiles],
+                                (0, d, 0, d))
+    return [column for _, _, column in translates]
 
 
 def box_group(prototiles: list[Region], box_side: int) -> AbelianGroup:

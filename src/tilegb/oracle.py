@@ -1,13 +1,12 @@
 """Brute-force signed-tiling decisions on bounded boxes.
 
 Independent of the Groebner route: a signed tiling restricted to a box is an
-integer solution of A z = t, where columns of A are indicators of prototile
-placements inside the box and t is the region indicator.  Solved exactly by
-Hermite-style column elimination, twice: a log-free pass tests whether t lies
-in the column lattice at all, and only when it does, a second pass logs the
-column combinations as steps and back-substitutes them into z.  A failure
-only rules out tilings confined to the box, so it is reported as
-``no_solution_in_box`` rather than a definitive no.
+integer solution of A z = t for the region indicator t.  The columns of A,
+the indicators of the prototile translates inside the box, are built once per
+box and solved on by Hermite-style elimination, and only the nonzero entries
+of z become placements.  ``placement_system`` is the row view of the same
+columns; ``hnf_solve`` turns its dense rows into columns once.  A failure only
+rules out tilings confined to the box, so it is ``no_solution_in_box``.
 """
 
 from __future__ import annotations
@@ -45,25 +44,17 @@ class OracleDecision:
         return "yes" if self.solvable else "no_solution_in_box"
 
 
-def _solve_rows(rows: list[dict[int, int]], ncols: int, t: list[int]) -> list[int] | None:
-    """Some integer solution z (length ``ncols``) of the sparse-row system
-    rows z = t, or None when none exists.
+def _solve_columns(columns: list[dict[int, int]], firsts: list[int],
+                   target: dict[int, int]) -> list[int] | None:
+    """Some integer z with sum_c z[c] * columns[c] = target, or None when
+    there is none; ``firsts[c]`` is the first row of column c.
 
-    Membership first: copies of the columns go into an echelon lattice with
-    no log, from the far end (descending first row, then descending index),
-    which runs far shorter Euclid chains, and a t outside the lattice returns
-    None at once.  Only for a member are the columns inserted again,
-    sparsest-leading first, with their combinations logged as steps; t is
-    expressed over that lattice and z is built from the log.  That order
-    keeps the witness, and so the certificate, small.
-    """
-    columns: list[dict[int, int]] = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            columns[c][i] = v
-    # Insert sparsest-leading first: distinct leading rows insert without work.
-    order = sorted(range(ncols), key=lambda c: (min(columns[c], default=len(rows)), c))
-    target = {i: v for i, v in enumerate(t) if v}
+    Membership is tested with no log on copies inserted from the far end
+    (descending first row, then index), whose Euclid chains are far shorter.
+    Only a member's columns go in again, sparsest-leading first, which keeps
+    the witness small, with their combinations logged; that consumes them."""
+    # Sparsest-leading first: distinct leading rows insert without work.
+    order = sorted(range(len(columns)), key=firsts.__getitem__)
     pivots: dict[int, dict[int, int]] = {}
     for c in reversed(order):
         echelon_insert(pivots, dict(columns[c]))
@@ -74,55 +65,70 @@ def _solve_rows(rows: list[dict[int, int]], ncols: int, t: list[int]) -> list[in
     for c in order:
         echelon_insert(pivots, columns[c], combos, [(1, ~c)])
     combo = lattice_express(pivots, combos, target)
-    z = [0] * ncols
-    for c, v in combo.items():
-        z[c] = v
-    return z
+    return [combo.get(c, 0) for c in range(len(columns))]
 
 
 def hnf_solve(A: list[list[int]], t: list[int]) -> list[int] | None:
-    """Some integer solution of the dense system A z = t, or None when none
-    exists."""
+    """Some integer solution of the dense system A z = t, or None if none exists."""
     m = len(A)
     if len(t) != m:
         raise ValueError(f"dimension mismatch: {m} rows vs {len(t)} targets")
     k = len(A[0]) if m else 0
     if any(len(row) != k for row in A):
         raise ValueError("ragged matrix")
-    return _solve_rows([{j: v for j, v in enumerate(row) if v} for row in A], k, t)
+    columns = [{i: row[c] for i, row in enumerate(A) if row[c]} for c in range(k)]
+    return _solve_columns(columns, [min(col, default=m) for col in columns],
+                          {i: v for i, v in enumerate(t) if v})
 
 
-def placement_system(region: Region, prototiles: list[Region], margin: int) -> PlacementSystem:
-    """Box = bounding box of the region padded by ``margin``; placements are
-    all prototile translates fully inside the box."""
-    tile_generators(prototiles)  # validates; the shifts use raw tile coordinates
-    if margin < 0:
-        raise ValueError("negative margin")
-    if region:
-        xs = [i for i, _ in region]
-        ys = [j for _, j in region]
-        x0, x1 = min(xs) - margin, max(xs) + margin + 1
-        y0, y1 = min(ys) - margin, max(ys) + margin + 1
-    else:
-        x0 = y0 = 0
-        x1 = y1 = 1
-    # Cell (i, j) of the box is row (j - y0) * width + (i - x0).
+def _translates(prototiles: list[Region], box: tuple[int, int, int, int]):
+    """Every prototile translate fully inside the half-open box (x0, x1, y0,
+    y1), tile by tile and row by row of shifts, as ``(tile, shift, column)``;
+    the column is ``{cell: 1}`` over the sorted indices (j - y0) * width +
+    (i - x0) of its cells (i, j).  Also the list of each one's first cell."""
+    x0, x1, y0, y1 = box
     width = x1 - x0
-    ncells = width * (y1 - y0)
-    matrix: list[dict[int, int]] = [{} for _ in range(ncells)]
-    placements = []
+    translates, firsts = [], []
     for tidx, tile in enumerate(prototiles):
+        base = sorted((j - y0) * width + (i - x0) for i, j in tile)
         tis = [i for i, _ in tile]
         tjs = [j for _, j in tile]
         for b in range(y0 - min(tjs), y1 - max(tjs)):
             for a in range(x0 - min(tis), x1 - max(tis)):
-                for i, j in tile:
-                    matrix[(j + b - y0) * width + (i + a - x0)][len(placements)] = 1
-                placements.append(Placement(tidx, (a, b), 1))
-    target = [0] * ncells
-    for i, j in region:
-        target[(j - y0) * width + (i - x0)] = 1
-    return PlacementSystem((x0, x1, y0, y1), placements, matrix, target)
+                s = b * width + a
+                translates.append((tidx, (a, b), dict.fromkeys(map(s.__add__, base), 1)))
+                firsts.append(base[0] + s)
+    return translates, firsts
+
+
+def _box_columns(region: Region, prototiles: list[Region], margin: int):
+    """The box (the region's bounding box padded by ``margin``), its
+    ``_translates`` and the target ``{cell: 1}`` over the region's cells."""
+    tile_generators(prototiles)  # validates; the shifts use raw tile coordinates
+    if margin < 0:
+        raise ValueError("negative margin")
+    box = (0, 1, 0, 1)
+    if region:
+        xs = [i for i, _ in region]
+        ys = [j for _, j in region]
+        box = (min(xs) - margin, max(xs) + margin + 1, min(ys) - margin, max(ys) + margin + 1)
+    x0, x1, y0, _ = box
+    target = {(j - y0) * (x1 - x0) + (i - x0): 1 for i, j in region}
+    return box, *_translates(prototiles, box), target
+
+
+def placement_system(region: Region, prototiles: list[Region], margin: int) -> PlacementSystem:
+    """Box = bounding box of the region padded by ``margin``; placements are
+    all prototile translates fully inside the box, and the matrix is the row
+    view of the columns the oracle solves on."""
+    box, translates, _, target = _box_columns(region, prototiles, margin)
+    ncells = (box[1] - box[0]) * (box[3] - box[2])
+    matrix: list[dict[int, int]] = [{} for _ in range(ncells)]
+    for c, (_, _, column) in enumerate(translates):
+        for i in column:
+            matrix[i][c] = 1
+    return PlacementSystem(box, [Placement(tidx, shift, 1) for tidx, shift, _ in translates],
+                           matrix, [int(i in target) for i in range(ncells)])
 
 
 def oracle_decide(region: Region, prototiles: list[Region], margin: int) -> OracleDecision:
@@ -132,10 +138,10 @@ def oracle_decide(region: Region, prototiles: list[Region], margin: int) -> Orac
     ``no_solution_in_box`` is inconclusive evidence, since placements outside
     the box might still make a tiling possible.
     """
-    system = placement_system(region, prototiles, margin)
-    z = _solve_rows(system.matrix, len(system.placements), system.target)
+    _, translates, firsts, target = _box_columns(region, prototiles, margin)
+    z = _solve_columns([column for _, _, column in translates], firsts, target)
     if z is None:
         return OracleDecision(False)
-    cert = verified_certificate(prototiles, region, ((pl.tile, pl.shift, mult)
-                                                     for mult, pl in zip(z, system.placements)))
+    cert = verified_certificate(prototiles, region, ((tidx, shift, v) for (tidx, shift, _), v
+                                                     in zip(translates, z) if v))
     return OracleDecision(True, z, cert)

@@ -100,6 +100,32 @@ def test_box_presentation_rows():
         assert sorted(row.values()) == [1, 1]
 
 
+def test_box_presentation_matches_plain_enumeration():
+    # Each prototile moved to start at (0, 0), then every shift (a, b) with a
+    # outside and b inside, as the row {(p + a) * D + (q + b): 1}.
+    rng = random.Random(707)
+    for _ in range(80):
+        tiles = [frozenset((rng.randrange(-2, 3), rng.randrange(-2, 3))
+                           for _ in range(rng.randrange(1, 5)))
+                 for _ in range(rng.randrange(1, 4))]
+        d = rng.randrange(1, 8)
+        expected = []
+        for tile in tiles:
+            p0 = min(p for p, _ in tile)
+            q0 = min(q for _, q in tile)
+            cells = sorted((p - p0, q - q0) for p, q in tile)
+            w = max(p for p, _ in cells)
+            h = max(q for _, q in cells)
+            if max(w, h) >= d:
+                with pytest.raises(ValueError, match=f"box side {d} too small"):
+                    box_presentation(tiles, d)
+                break
+            expected += [[((p + a) * d + (q + b), 1) for p, q in cells]
+                         for a in range(d - w) for b in range(d - h)]
+        else:
+            assert [list(row.items()) for row in box_presentation(tiles, d)] == expected
+
+
 def test_box_group_matches_dense_snf():
     # box_group reduces the sparse rows directly; snf on the densified rows
     # is the reference.

@@ -5,7 +5,7 @@ import pytest
 from helpers import pinned_families
 from tilegb.homology import box_presentation
 from tilegb.intlin import Combinations, echelon_insert
-from tilegb.oracle import placement_system
+from tilegb.oracle import _box_columns
 
 
 def tri_region(m):
@@ -17,15 +17,10 @@ def box_rows():
 
 
 def family_9_columns():
-    # The oracle's columns of family 9 on T(3) at margin 2, sparsest-leading
-    # first (ties by column index).
-    system = placement_system(tri_region(3), pinned_families()[9], 2)
-    columns = [{} for _ in system.placements]
-    for i, row in enumerate(system.matrix):
-        for c, v in row.items():
-            columns[c][i] = v
-    columns.sort(key=min)
-    return columns
+    # The columns oracle_decide solves on for family 9 on T(3) at margin 2,
+    # sparsest-leading first: the stable order of their first rows.
+    _, translates, firsts, _ = _box_columns(tri_region(3), pinned_families()[9], 2)
+    return [translates[c][2] for c in sorted(range(len(firsts)), key=firsts.__getitem__)]
 
 
 def placement_columns():

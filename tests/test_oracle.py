@@ -1,17 +1,20 @@
 """Box-search oracle: exact integer solving and concordance with the theory."""
 
+import copy
+import hashlib
 import random
 import time
 
 import pytest
 
 import tilegb.oracle
+import tilegb.tiling
 from helpers import brute_minor_gcd, pinned_families
 from tilegb.bones import decide_nbone, nbone_prototiles
 from tilegb.cli import run
 from tilegb.oracle import hnf_solve, oracle_decide, placement_system
-from tilegb.tiling import (decide_signed_tiling, region_to_text, tile_reach,
-                           tiles_to_text, verify_certificate)
+from tilegb.tiling import (Placement, certificate_to_text, decide_signed_tiling,
+                           region_to_text, tile_reach, tiles_to_text, verify_certificate)
 
 
 def tri_region(m):
@@ -226,6 +229,25 @@ def test_oracle_certificate_has_one_placement_per_nonzero_entry():
                                                             system.placements) if z}
 
 
+# sha256 of certificate_to_text(cert, "region") for each pinned certificate.
+CERTIFICATE_SHA256 = {
+    ("family2", 7, 1): "fbb837ca6b23e341bc84f5f15490a5c986a4b9aa32fc35d857b50fa9afdc4d62",
+    ("family2", 7, 2): "1bc3958c093b25fd4115a6b79ff72e989add236b2fd821e8df5107239442d438",
+    ("family3", 7, 1): "e9224eead3c1ceb0b5d5722fbf6cf2ba40f3af60031222bc1541a671c9d4fef7",
+    ("family3", 7, 2): "a91ba4bf82f7c8ac6d4f2318ee8a2315e05a41b2bed33a831e0c1fc6aad4542c",
+    ("family4", 7, 1): "4132bf075e7c3bfb8bbf7c59a7a6c5ba7237f7e830766d5ca55e43a60d3066e9",
+    ("family4", 7, 2): "2be88cdc1f64c7ea454e6ef17fe0fc117dd9b5572a2764f6947b2344feb2d4f7",
+    ("family14", 7, 1): "c91ef50a6fe2e1ed6323a5bcb3c5ca00f6cb81b498e58920d3fdad72924f90ba",
+    ("family14", 7, 2): "635c662d79a3f61af84edbc668ebf778b524a0888aaf203422376e5de7729c45",
+    ("family17", 7, 1): "d275e14075df9df0e9063d3cee76e0e03595534ace500ccc8816a7b39c599ff3",
+    ("family17", 7, 2): "b46cf152125b37c1b4ca24189da97cbfbe0ed743ec651c560b09dcd00da91109",
+    ("family18", 7, 1): "7e39ac9a611425fd539199fad5ae9bdcbd145a6b4785bd8327dab4877d92469c",
+    ("family18", 7, 2): "895fef075d025483d93e8e5d18012b0aaa58a2b98cb8478d87738c67afdcfca9",
+    (3, 8, 6): "01cb9a78b728ab993fcdacf62f1c240e34f7734bae181aba0479dcfc22cf86c4",
+    (3, 9, 6): "6f2478c68f8bc860c13a839bcbcd4d9aa46b6c4595eee05683f1ea35037bbc20",
+}
+
+
 @pytest.mark.parametrize("tiles,m,margin,units,distinct", [
     # "family<k>" is pinned family k; 3 is the 3-bones.
     ("family2", 7, 1, 71, 35), ("family2", 7, 2, 121, 48),
@@ -248,6 +270,8 @@ def test_oracle_certificate_sizes(tiles, m, margin, units, distinct):
     assert verify_certificate(cert)
     assert len(cert.placements) == distinct
     assert sum(p.count for p in cert.placements) == units
+    text = certificate_to_text(cert, "region")
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[(tiles, m, margin)]
 
 
 def test_oracle_logs_combinations_only_for_a_yes(monkeypatch):
@@ -265,6 +289,56 @@ def test_oracle_logs_combinations_only_for_a_yes(monkeypatch):
     assert built == []
     assert oracle_decide(tri_region(3), nbone_prototiles(2), 4).solvable
     assert len(built) == 1
+
+
+def test_oracle_makes_placements_only_for_a_certificate(monkeypatch):
+    # The solver runs on plain columns, so a no_solution_in_box makes no
+    # Placement, and a yes makes one per nonzero entry of its solution.
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return Placement(*args)
+
+    monkeypatch.setattr(tilegb.oracle, "Placement", spy)
+    monkeypatch.setattr(tilegb.tiling, "Placement", spy)
+    for m in (2, 10):
+        assert not oracle_decide(tri_region(m), nbone_prototiles(3), 6).solvable
+    assert built == []
+    decision = oracle_decide(tri_region(9), nbone_prototiles(3), 6)
+    assert decision.solvable
+    assert len(built) == sum(1 for v in decision.solution if v) == 61
+
+
+def test_placement_matrix_is_the_transpose_of_the_solved_columns(monkeypatch):
+    # placement_system's rows and the columns oracle_decide hands its solver
+    # come from one enumeration; the solver inserts the columns in the stable
+    # order of their first rows.
+    seen = []
+    solve = tilegb.oracle._solve_columns
+
+    def spy(columns, firsts, target):
+        seen.append((copy.deepcopy(columns), list(firsts), dict(target)))
+        return solve(columns, firsts, target)
+
+    monkeypatch.setattr(tilegb.oracle, "_solve_columns", spy)
+    rng = random.Random(505)
+    for _ in range(60):
+        tiles = [frozenset((rng.randrange(-2, 3), rng.randrange(-2, 3))
+                           for _ in range(rng.randrange(1, 5)))
+                 for _ in range(rng.randrange(1, 4))]
+        region = frozenset((rng.randrange(-3, 4), rng.randrange(-3, 4))
+                           for _ in range(rng.randrange(0, 7)))
+        margin = rng.randrange(0, 4)
+        system = placement_system(region, tiles, margin)
+        oracle_decide(region, tiles, margin)
+        columns, firsts, target = seen.pop()
+        assert len(columns) == len(system.placements)
+        assert [list(row.items()) for row in system.matrix] == [
+            [(c, col[i]) for c, col in enumerate(columns) if i in col]
+            for i in range(len(system.matrix))]
+        assert firsts == [min(col) for col in columns]
+        assert system.target == [target.get(i, 0) for i in range(len(system.target))]
 
 
 @pytest.mark.parametrize("m", range(3, 8))
