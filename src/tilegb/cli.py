@@ -98,8 +98,8 @@ MAX_EXPONENT = MAX_SIDE ** 2
 
 # oracle builds one unknown per placement and one equation per cell of its
 # box: a 1023 x 1023 box took 11 s and 1.1 GB.  With the 3-bones near this
-# limit, a no (T(3), a 255 x 255 box) takes about 1.5 s and 170 MB, a yes
-# (T(8), a 254 x 254 box) about 48 s and 1.7 GB, since only a yes logs how
+# limit, a no (T(3), a 255 x 255 box) takes about 1.5 s and 144 MB, a yes
+# (T(8), a 254 x 254 box) 52-77 s and 1.65 GB, since only a yes logs how
 # its solution is combined.  The side limit alone bounds only thin boxes.
 # homology --box D builds one generator per cell and one relation per tile
 # translate, so it refuses D below 1 and D^2 above the same limit (D > 256):

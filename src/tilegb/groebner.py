@@ -7,11 +7,12 @@ some basis element; membership then reduces to a zero remainder.  Completion
 runs once and logs how it made each element from the generators
 (intlin.Combinations); ``lift`` back-substitutes quotients through that log.
 
-Every division goes through one packed divider (``_Divider``), which holds
-the basis's leading terms and tails as packed integers and has one division
+Every division goes through one packed divider (``_Divider``), which keeps
+the basis's leading terms and tails packed in one ``polyring.Slots`` layout,
+widens it with ``fit`` when an input needs wider slots, and has one division
 loop on packed terms.  A basis caches one divider: ``reduce`` and
-``remainder`` divide term maps through it, packing the input and unpacking
-the result, while ``periods`` and the rounds of
+``remainder`` divide term maps through it and unpack the result with the
+slots it returns, while ``periods`` and the rounds of
 ``tiling.decide_signed_tiling`` step normal forms on its packed terms from
 one step to the next.  Completion keeps one divider for the elements it has
 made, forms each S- and G-pair from the packed terms of its two elements,
@@ -27,13 +28,13 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from operator import add, lshift, sub
+from operator import add, sub
 from typing import Callable, Mapping, Sequence
 
 from .intlin import Combinations
-from .polyring import (CONVENTIONS, LEX, Mono, Polynomial, TermOrder,
-                       coeff_divmod, format_poly, mono_divides,
-                       mono_lcm, pack, parse_poly, slot_shifts, unpack)
+from .polyring import (CONVENTIONS, LEX, Mono, Polynomial, Slots, TermOrder,
+                       coeff_divmod, format_poly, mono_divides, mono_lcm,
+                       parse_poly)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -130,27 +131,23 @@ class GroebnerBasis:
         Step a takes NF(x^step * r) of step a - 1's normal form r, which is
         NF(x^(a*step) * nf) because a strong basis has unique normal forms.
         The normal form stays packed from step to step: each step sizes the
-        slots from its largest exponents, shifts every packed monomial by
-        x^step and divides with the divider's packed loop.  Only when the
-        slots widen is it packed again."""
+        slots from its largest exponents (``fit``), shifts every packed
+        monomial by x^step and divides with the divider's packed loop.  Only
+        when the slots widen is it packed again."""
         div, conv = self._divider, self.convention
         goal = {0: target} if target else {}  # a constant is monomial 0 at every width
         highs = list(map(max, zip(*nf))) or [0] * self.nvars
-        codec, work = None, nf
+        slots, work = None, nf
         for a in range(1, limit + 1):
-            sized = div.codec_for(list(map(add, highs, step)))
-            if sized is not codec:  # the first step, or the slots widened
-                if codec is not None:
-                    work = unpack(work, shifts, bits)
-                codec = sized
-                bits, shifts = codec[0], codec[1]
-                work = pack(work, list(zip(*work)), shifts)
-                slot = (1 << bits) - 1
-                by = sum(map(lshift, step, shifts))
-            work = div.divide_packed({p + by: c for p, c in work.items()}, codec, conv)[1]
+            sized = div.fit(list(map(add, highs, step)))
+            if sized is not slots:  # the first step, or the slots widened
+                work = sized.pack(work if slots is None else slots.unpack(work))
+                slots = sized
+                by = slots.mono(step)
+            work = div.divide_packed({p + by: c for p, c in work.items()}, conv)[1]
             if work == goal:
                 return a
-            highs = [max([(p >> s) & slot for p in work], default=0) for s in shifts]
+            highs = [max(col, default=0) for col in slots.columns(work)]
         return None
 
     @cached_property
@@ -168,12 +165,12 @@ class ReductionResult:
 
     def __init__(self, remainder: Polynomial, quotients: Callable[[], list[Polynomial]]):
         self.remainder = remainder
-        self._decode = quotients
+        self._pending = quotients
 
     @cached_property
     def quotients(self) -> list[Polynomial]:
-        quotients = self._decode()
-        self._decode = None  # frees the packed form
+        quotients = self._pending()
+        self._pending = None  # frees the packed form
         return quotients
 
 
@@ -183,26 +180,26 @@ _NEGATIVE = "negative exponent; division needs exponents >= 0"
 class _Divider:
     """Division by one list of basis elements, packed once for every call.
 
-    Monomials are packed into one int each (polyring.pack), variables in
-    precedence order, with slots wide enough that no exponent carries into
-    the next slot: lex comparison is integer comparison and shifting by a
-    monomial is integer addition.  Each slot has ``bits`` exponent bits and
-    one guard bit above them, so v | u exactly when u - v is non-negative
+    ``slots`` is the layout (``polyring.Slots``) in which ``leads`` holds
+    every element's packed leading term and coefficient and ``tails`` its
+    packed tail, variables in precedence order.  The slots are wide enough
+    that no exponent carries into the next slot: lex comparison is integer
+    comparison, shifting by a monomial is integer addition, and a leading
+    monomial divides a term exactly when their difference is non-negative
     with no guard bit set.
 
-    ``codec`` holds the slot layout with every element's leading term and
-    tail packed in it.  ``divide_packed`` is the one division loop, on a
-    packed term map and a codec.  Its callers size the slots first with
-    ``codec_for``: a division whose input needs more bits than the slots
-    hold packs the elements again, once, at the width it needs and makes
-    that the codec; the division then runs on the codec it read or made, so
-    divisions that share a basis each run on slots wide enough for their
-    own input.  ``divide`` wraps the loop for a term map on exponent tuples
-    (check, size, pack, divide, unpack); ``divide_pair`` forms an S- or
-    G-pair of two elements straight from their packed terms and divides it,
-    and ``GroebnerBasis._steps_to`` steps normal forms on packed terms.
-    ``append`` adds an element, for the one caller (completion) that owns
-    the divider.
+    ``divide_packed`` is the one division loop, on a packed term map and the
+    divider's own ``slots``, ``leads`` and ``tails``.  Its callers size the
+    slots first with ``fit``: a division whose input needs more bits than
+    the slots hold packs the elements again, once, at the width it needs,
+    and those wider slots stay, so divisions that share a basis each run on
+    slots wide enough for their own input.  ``divide`` wraps the loop for a
+    term map on exponent tuples (check, fit, pack, divide, unpack), and
+    ``divide_pair`` forms an S- or G-pair of two elements straight from
+    their packed terms and divides it; each returns the ``Slots`` that
+    decodes its packed output.  ``GroebnerBasis._steps_to`` steps normal
+    forms on packed terms.  ``append`` adds an element, for the one caller
+    (completion) that owns the divider.
 
     Slot width.  A division step multiplies a term by t / LM(g) for a tail
     term t of g.  The first position (in precedence order) where t and LM(g)
@@ -234,17 +231,24 @@ class _Divider:
         self.elements: list[Polynomial] = []
         self.lts: list[tuple[Mono, int]] = []
         self.highs: list[list[int]] = []  # each element's largest exponent per variable
-        self.codec = self._packing(1)
+        self._repack(1)
         for g, lt in zip(elements, lts):
             self.append(g, lt)
 
-    def _packing(self, bits: int):
-        """(bits, shifts, guard bits, packed leading terms, packed tails) of
-        the elements at ``bits`` exponent bits per slot."""
-        shifts = slot_shifts(bits + 1, self.prec)
-        packed = [_packed_element(g, lt, shifts) for g, lt in zip(self.elements, self.lts)]
-        return (bits, shifts, sum(1 << (s + bits) for s in shifts),
-                [lead for lead, _ in packed], [tail for _, tail in packed])
+    def _repack(self, bits: int) -> None:
+        """Make the slots ``bits`` exponent bits wide and pack every element
+        in them."""
+        self.slots = Slots(bits, self.prec)
+        self.leads: list[tuple[int, int]] = []
+        self.tails: list[list[tuple[int, int]]] = []
+        for g, lt in zip(self.elements, self.lts):
+            self._store(g, lt)
+
+    def _store(self, g: Polynomial, lt: tuple[Mono, int]) -> None:
+        """Append g's leading term and tail, packed in the current slots."""
+        mono, (gm, gc) = self.slots.mono, lt
+        self.leads.append((mono(gm), gc))
+        self.tails.append([(mono(m), c) for m, c in g.terms.items() if m != gm])
 
     def append(self, g: Polynomial, lt: tuple[Mono, int]) -> None:
         """Add g, whose leading term is lt, as the last element."""
@@ -256,55 +260,47 @@ class _Divider:
         self.lts.append(lt)
         self.highs.append(highs)
         self.top = max(self.top, *highs)
-        bits, shifts, _, plts, tails = self.codec
-        if self.top.bit_length() > bits:
-            self.codec = self._packing(self.top.bit_length())
+        if self.top.bit_length() > self.slots.bits:
+            self._repack(self.top.bit_length())
         else:
-            lead, tail = _packed_element(g, lt, shifts)
-            plts.append(lead)
-            tails.append(tail)
+            self._store(g, lt)
 
-    def codec_for(self, highs: Sequence[int]):
-        """The codec for dividing an input whose largest exponent of each
-        variable is at most ``highs[var]``: the current one, or, when its
-        slots are too narrow for the bound in the class docstring, the
-        elements packed again at the width it needs, which becomes the
-        codec."""
-        codec, top, total = self.codec, self.top, 0
+    def fit(self, highs: Sequence[int]) -> Slots:
+        """The slots for dividing an input whose largest exponent of each
+        variable is at most ``highs[var]``: the current ones, or, when they
+        are too narrow for the bound in the class docstring, slots of the
+        width it needs, in which the elements are packed again."""
+        top, total = self.top, 0
         for v in self.prec:  # E_0 + ... + E_last
             total += highs[v] + top * total
         need = max(top, total).bit_length()
-        if need > codec[0]:
-            codec = self.codec = self._packing(need)
-        return codec
+        if need > self.slots.bits:
+            self._repack(need)
+        return self.slots
 
     def divide(self, fterms: Mapping[Mono, int], conv: str) -> tuple[
-            dict[int, dict[int, int]], dict[Mono, int], tuple[list[int], int]]:
+            dict[int, dict[int, int]], dict[Mono, int], Slots]:
         """Divide the term map: ({element index: packed quotient} for the
-        nonzero quotients, remainder, (shifts, bits)), where
-        ``polyring.unpack(quotient, shifts, bits)`` decodes a quotient."""
-        codec = self.codec
+        nonzero quotients, remainder, the slots that unpack a quotient)."""
+        slots = self.slots
         cols = list(zip(*fterms))
         if cols:
             if min(map(min, cols)) < 0:
                 raise ValueError(_NEGATIVE)
-            codec = self.codec_for(list(map(max, cols)))
-        bits, shifts = codec[0], codec[1]
-        quotients, rem = self.divide_packed(pack(fterms, cols, shifts), codec, conv)
-        return quotients, unpack(rem, shifts, bits), (shifts, bits)
+            slots = self.fit(list(map(max, cols)))
+        quotients, rem = self.divide_packed(slots.pack(fterms, cols), conv)
+        return quotients, slots.unpack(rem), slots
 
     def divide_pair(self, i: int, j: int, left: tuple[int, Mono], right: tuple[int, Mono],
-                    conv: str) -> tuple[dict[int, dict[int, int]], dict[int, int],
-                                        tuple[list[int], int]]:
+                    conv: str) -> tuple[dict[int, dict[int, int]], dict[int, int], Slots]:
         """Divide the pair a x^ma g_i + b x^mb g_j of elements i and j, for
         ``_pair``'s multipliers left = (a, ma) and right = (b, mb), formed
         from their packed leading terms and tails: (packed quotients, packed
-        remainder, (shifts, bits))."""
+        remainder, the slots that unpack them)."""
         (a, ma), (b, mb) = left, right
-        codec = self.codec_for([max(e + s, f + t) for e, s, f, t
-                                in zip(self.highs[i], ma, self.highs[j], mb)])
-        bits, shifts, _, plts, tails = codec
-        sa, sb = sum(map(lshift, ma, shifts)), sum(map(lshift, mb, shifts))
+        slots = self.fit([max(e + s, f + t) for e, s, f, t
+                          in zip(self.highs[i], ma, self.highs[j], mb)])
+        sa, sb, tails = slots.mono(ma), slots.mono(mb), self.tails
         work = {m + sa: a * c for m, c in tails[i]}
         get = work.get
         for m, c in tails[j]:
@@ -316,20 +312,20 @@ class _Divider:
                 del work[m]
         # Both leading terms land on lcm(LM(g_i), LM(g_j)), above every tail
         # term: an S-pair's two cancel there, a G-pair's leave gcd(LC).
-        (gm, gc), (_, hc) = plts[i], plts[j]
+        (gm, gc), (_, hc) = self.leads[i], self.leads[j]
         lead = a * gc + b * hc
         if lead:
             work[gm + sa] = lead
-        quotients, rem = self.divide_packed(work, codec, conv)
-        return quotients, rem, (shifts, bits)
+        quotients, rem = self.divide_packed(work, conv)
+        return quotients, rem, slots
 
-    def divide_packed(self, work: dict[int, int], codec, conv: str) -> tuple[
+    def divide_packed(self, work: dict[int, int], conv: str) -> tuple[
             dict[int, dict[int, int]], dict[int, int]]:
         """Divide the packed term map ``work``, which is consumed, by the
-        elements as packed in ``codec``, whose slots the caller has sized
-        with ``codec_for``: ({element index: packed quotient} for the
-        nonzero quotients, packed remainder)."""
-        _, _, guard, plts, tails = codec
+        elements as packed in ``slots``, which the caller has sized with
+        ``fit``: ({element index: packed quotient} for the nonzero
+        quotients, packed remainder)."""
+        guard, plts, tails = self.slots.guard, self.leads, self.tails
         heap = [-p for p in work]
         heapq.heapify(heap)
         quotients: dict[int, dict[int, int]] = {}
@@ -374,14 +370,6 @@ class _Divider:
         return quotients, remainder
 
 
-def _packed_element(g: Polynomial, lt: tuple[Mono, int],
-                    shifts: list[int]) -> tuple[tuple[int, int], list[tuple[int, int]]]:
-    """g's leading term and its tail, packed."""
-    gm, gc = lt
-    return ((sum(map(lshift, gm, shifts)), gc),
-            [(sum(map(lshift, m, shifts)), c) for m, c in g.terms.items() if m != gm])
-
-
 def _checked_convention(f: Polynomial, G: GroebnerBasis, convention: str | None) -> str:
     if f.nvars != G.nvars:
         raise ValueError(f"arity mismatch: {f.nvars} vs {G.nvars}")
@@ -395,11 +383,11 @@ def reduce(f: Polynomial, G: GroebnerBasis, convention: str | None = None) -> Re
     """Divide f by the basis, returning quotients (one per element) and the
     remainder.  The convention defaults to the basis's own."""
     conv = _checked_convention(f, G, convention)
-    packed, rem, codec = G._divider.divide(f.terms, conv)
+    packed, rem, slots = G._divider.divide(f.terms, conv)
     nvars, count = f.nvars, len(G.elements)
     return ReductionResult(
         Polynomial._make(rem, nvars),
-        lambda: [Polynomial._make(unpack(packed.get(i, {}), *codec), nvars)
+        lambda: [Polynomial._make(slots.unpack(packed.get(i, {})), nvars)
                  for i in range(count)])
 
 
@@ -419,7 +407,7 @@ def remainder(f: Polynomial, G: GroebnerBasis, convention: str | None = None) ->
         # comprehension each, so that no call runs per term.
         cols = list(zip(*f.terms))
         if min(map(min, cols), default=0) < 0:
-            raise ValueError("negative exponent; division needs exponents >= 0")
+            raise ValueError(_NEGATIVE)
         mods = [a or max(col) + 1 for col, a in zip(cols, periods)]
         cols = [[e % a for e in col] for col, a in zip(cols, mods)]
         folded: dict[Mono, int] = {}
@@ -474,16 +462,15 @@ def g_polynomial(g: Polynomial, h: Polynomial, order: TermOrder = LEX) -> Polyno
     return g.mul_term(a, ma) + h.mul_term(b, mb)
 
 
-def _quotient_steps(packed: dict[int, dict[int, int]], codec: tuple[list[int], int],
+def _quotient_steps(packed: dict[int, dict[int, int]], slots: Slots,
                     ids: Sequence[int], nvars: int) -> list[tuple[Callable[[], Polynomial], int]]:
     """Log steps (-q, node) for the nonzero quotients of a division, in
     basis order.  Each -q stays packed until ``lift`` reads its node."""
-    return [(partial(_negated_quotient, packed[k], codec, nvars), ids[k]) for k in sorted(packed)]
+    return [(partial(_negated_quotient, packed[k], slots, nvars), ids[k]) for k in sorted(packed)]
 
 
-def _negated_quotient(packed: dict[int, int], codec: tuple[list[int], int],
-                      nvars: int) -> Polynomial:
-    return -Polynomial._make(unpack(packed, *codec), nvars)
+def _negated_quotient(packed: dict[int, int], slots: Slots, nvars: int) -> Polynomial:
+    return -Polynomial._make(slots.unpack(packed), nvars)
 
 
 def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
@@ -545,13 +532,13 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
             if not wanted:
                 continue
             left, right = _pair(lts[i], lts[j], gcd_pair)
-            qs, rem, codec = div.divide_pair(i, j, left, right, conv)
+            qs, rem, slots = div.divide_pair(i, j, left, right, conv)
             if rem:
                 (a, ma), (b, mb) = left, right
                 ids.append(log.add([(Polynomial._make({ma: a}, nvars), ids[i]),
                                     (Polynomial._make({mb: b}, nvars), ids[j]),
-                                    *_quotient_steps(qs, codec, ids, nvars)]))
-                polys.append(Polynomial._make(unpack(rem, *codec), nvars))
+                                    *_quotient_steps(qs, slots, ids, nvars)]))
+                polys.append(Polynomial._make(slots.unpack(rem), nvars))
                 lts.append(polys[-1].leading_term(order))
                 div.append(polys[-1], lts[-1])
                 h = len(polys) - 1
@@ -587,9 +574,9 @@ def buchberger(generators: list[Polynomial], order: TermOrder = LEX,
     for t, (gm, gc) in enumerate(lts):
         tail = polys[t].terms.copy()
         del tail[gm]
-        qs, rem, codec = div.divide(tail, conv)
+        qs, rem, slots = div.divide(tail, conv)
         if qs:
-            ids[t] = log.add([(1, ids[t]), *_quotient_steps(qs, codec, ids, nvars)])
+            ids[t] = log.add([(1, ids[t]), *_quotient_steps(qs, slots, ids, nvars)])
         polys[t] = Polynomial._make({**rem, gm: gc}, nvars)
 
     log.node_of = dict(enumerate(ids))

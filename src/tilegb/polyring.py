@@ -3,19 +3,13 @@
 Monomials are plain tuples of non-negative exponents; a polynomial is a map
 from monomial to nonzero coefficient.  The default ring is Z[x, y].
 
-Products and division (``groebner._Divider``) work on packed monomials:
-each exponent gets a slot of ``width`` bits in one int, so multiplying two
-monomials is adding two ints.  ``slot_shifts`` places the slots, ``pack``
-encodes a term map and ``unpack`` decodes one.  Encoding goes column by
-column for every map, with one C-level map per variable and no interpreter
-frame per term: ``_pack_columns`` shifts each exponent column into its
-slot and sums the columns.  Decoding does the same from 8 terms on, taking
-each slot out of every packed monomial and zipping the columns back into
-tuples; a shorter map is decoded term by term.  The codec is exact only
-while every exponent met fits its slot.
-A product sizes the width from its two operands.  A divider packs its
-basis once for all its calls, and widens the slots and re-packs the basis
-only when an input needs more bits than they hold, by the bound proved on
+Products and division (``groebner._Divider``) work on packed monomials in
+one layout, ``Slots``: each exponent gets a slot of ``bits`` bits and a
+guard bit in one int, so multiplying two monomials is adding two ints.
+The layout is exact only while every exponent met fits its slot.  A
+product sizes its slots from its two operands.  A divider packs its basis
+once for all its calls, and widens the slots and re-packs the basis only
+when an input needs more bits than they hold, by the bound proved on
 ``groebner._Divider``.  A negative exponent, which fits no slot, is refused.
 
 ``parse_poly`` reads text in one split-and-memo pass.  String methods cut
@@ -84,59 +78,78 @@ def mono_lcm(u: Mono, v: Mono) -> Mono:
     return tuple(map(max, u, v))
 
 
-def slot_shifts(width: int, precedence: Sequence[int]) -> list[int]:
-    """Bit offset of each variable's slot in a packed monomial: the first
-    variable of ``precedence`` gets the top slot, so that comparing packed
-    monomials is lex comparison under that precedence."""
-    last = len(precedence) - 1
-    shifts = [0] * len(precedence)
-    for k, v in enumerate(precedence):
-        shifts[v] = width * (last - k)
-    return shifts
+class Slots:
+    """The packed-monomial layout: one int per monomial, one slot per
+    variable, each with ``bits`` exponent bits and a guard bit above them.
+    The first variable of ``precedence`` gets the top slot, so comparing
+    packed monomials is lex comparison under that precedence, and
+    multiplying two monomials is adding two ints.  While every exponent
+    fits ``bits``, v divides u exactly when u - v is non-negative with no
+    bit of ``guard`` set.  A negative exponent fits no slot; callers refuse
+    it before they pack.
 
+    ``pack`` encodes a term map one exponent column at a time, with one
+    C-level map per variable and no interpreter frame per term (``encode``).
+    ``unpack`` decodes the same way from 8 terms on (``columns``); a shorter
+    map is decoded term by term."""
 
-def pack(terms: Mapping[Mono, int], cols: Sequence[Iterable[int]],
-         shifts: list[int]) -> dict[int, int]:
-    """The term map on packed monomials, in the order of ``terms``: the
-    inverse of ``unpack``.  ``cols`` are the exponent columns of ``terms``,
-    one per variable, which every caller has read already to size the
-    slots."""
-    return dict(zip(_pack_columns(cols, shifts), terms.values()))
+    __slots__ = ("bits", "shifts", "guard")
 
+    def __init__(self, bits: int, precedence: Sequence[int]):
+        width, last = bits + 1, len(precedence) - 1
+        shifts = [0] * len(precedence)  # each variable's bit offset
+        for k, v in enumerate(precedence):
+            shifts[v] = width * (last - k)
+        self.bits, self.shifts = bits, shifts
+        self.guard = sum(1 << (s + bits) for s in shifts)
 
-def _pack_columns(cols: Iterable[Iterable[int]], shifts: list[int]) -> Iterable[int]:
-    """The packed monomials whose exponent columns are ``cols``, one per
-    variable, as a lazy iterable: each column is shifted into its slot by
-    one map and the shifted columns are summed by another, so no
-    interpreter frame runs per term."""
-    packed = None
-    for col, shift in zip(cols, shifts):
-        if shift:  # the lowest slot's column is packed as it is
-            col = map(lshift, col, repeat(shift))
-        packed = col if packed is None else map(add, packed, col)
-    return repeat(0) if packed is None else packed  # an empty map, or no variables
+    def mono(self, m: Mono) -> int:
+        """The packed monomial m."""
+        return sum(map(lshift, m, self.shifts))
 
+    def encode(self, cols: Iterable[Iterable[int]]) -> Iterable[int]:
+        """The packed monomials whose exponent columns are ``cols``, one per
+        variable, as a lazy iterable: each column is shifted into its slot by
+        one map and the shifted columns are summed by another."""
+        packed = None
+        for col, shift in zip(cols, self.shifts):
+            if shift:  # the lowest slot's column is packed as it is
+                col = map(lshift, col, repeat(shift))
+            packed = col if packed is None else map(add, packed, col)
+        return repeat(0) if packed is None else packed  # an empty map, or no variables
 
-def unpack(terms: dict[int, int], shifts: list[int], bits: int) -> dict[Mono, int]:
-    """Inverse of ``pack`` for exponents of at most ``bits`` bits."""
-    return _decode(terms, terms.values(), shifts, bits)
+    def pack(self, terms: Mapping[Mono, int],
+             cols: Sequence[Iterable[int]] | None = None) -> dict[int, int]:
+        """The term map on packed monomials, in the order of ``terms``: the
+        inverse of ``unpack``.  ``cols`` are the exponent columns of
+        ``terms``, one per variable, for a caller that has read them already
+        to size the slots."""
+        return dict(zip(self.encode(zip(*terms) if cols is None else cols), terms.values()))
 
+    def columns(self, packed: Collection[int]) -> list[list[int]]:
+        """The exponent columns of packed monomials, one per variable."""
+        mask = (1 << self.bits) - 1
+        return [[(p >> s) & mask for p in packed] for s in self.shifts]
 
-def _decode(packed: Collection[int], coeffs: Iterable[int], shifts: list[int],
-            bits: int) -> dict[Mono, int]:
-    """The term map of packed monomials and their coefficients, in order."""
-    slot = (1 << bits) - 1
-    if len(packed) < 8:
-        return {tuple([(p >> s) & slot for s in shifts]): c for p, c in zip(packed, coeffs)}
-    # One column of exponents per variable, zipped into tuples at the end,
-    # spends no interpreter frame per term; it wins from about 8 terms on.
-    cols = [[(p >> s) & slot for p in packed] for s in shifts]
-    return dict(zip(zip(*cols), coeffs))
+    def unpack(self, packed: Collection[int],
+               coeffs: Iterable[int] | None = None) -> dict[Mono, int]:
+        """The term map of packed monomials and their coefficients, in
+        order: the inverse of ``pack``.  Without ``coeffs``, ``packed`` is a
+        packed term map and its values are the coefficients."""
+        if coeffs is None:
+            coeffs = packed.values()
+        if len(packed) < 8:
+            mask, shifts = (1 << self.bits) - 1, self.shifts
+            return {tuple([(p >> s) & mask for s in shifts]): c for p, c in zip(packed, coeffs)}
+        # One column of exponents per variable, zipped into tuples at the end,
+        # spends no interpreter frame per term; it wins from about 8 terms on.
+        return dict(zip(zip(*self.columns(packed)), coeffs))
 
 
 def _mul_packed(f: dict[Mono, int], g: dict[Mono, int], nvars: int) -> dict[Mono, int]:
-    """Product of two term maps on packed monomials.  The slot width holds
-    the sum of the two largest exponents, so no product exponent carries.
+    """Product of two term maps on packed monomials.  The exponent bits of
+    a slot hold the sum of the two largest exponents, so no product
+    exponent carries.
 
     A sum that cancels is dropped at once, so a product that mostly cancels
     (``verify_brion``'s) stays small while it runs, and the accumulator is
@@ -145,12 +158,11 @@ def _mul_packed(f: dict[Mono, int], g: dict[Mono, int], nvars: int) -> dict[Mono
     if min(map(min, fcols + gcols)) < 0:
         raise ValueError("negative exponent; products need exponents >= 0")
     top = max(map(max, fcols)) + max(map(max, gcols))
-    bits = top.bit_length() or 1
-    shifts = slot_shifts(bits, range(nvars))
+    slots = Slots(top.bit_length() or 1, range(nvars))
     acc: dict[int, int] = {}
     get = acc.get
-    inner = list(pack(g, gcols, shifts).items())
-    for p1, c1 in zip(_pack_columns(fcols, shifts), f.values()):
+    inner = list(slots.pack(g, gcols).items())
+    for p1, c1 in zip(slots.encode(fcols), f.values()):
         for p2, c2 in inner:
             p = p1 + p2
             c = get(p, 0) + c1 * c2
@@ -160,7 +172,7 @@ def _mul_packed(f: dict[Mono, int], g: dict[Mono, int], nvars: int) -> dict[Mono
                 del acc[p]
     packed, coeffs = list(acc), list(acc.values())
     del acc, get
-    return _decode(packed, coeffs, shifts, bits)
+    return slots.unpack(packed, coeffs)
 
 
 class Polynomial:

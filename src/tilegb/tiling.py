@@ -9,6 +9,7 @@ monomial (translates may stick out below the axes).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -305,15 +306,27 @@ def certificate_to_text(cert: Certificate, region_path: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(text: str, lineno: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {what} {text!r} is not an integer") from None
+
+
 def parse_certificate_text(text: str) -> tuple[int, str, list[Placement]]:
-    """Returns (tile count, region path, placements)."""
+    """Returns (tile count, region path, placements).  The region path runs
+    from ``region=`` to the end of the header line, so it may hold spaces;
+    errors name the line."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty certificate file")
-    fields = dict(part.split("=", 1) for part in lines[0].split() if "=" in part)
-    if "tiles" not in fields or "region" not in fields:
+    region = re.search(r"(?:^|\s)region=", lines[0])
+    head = lines[0][:region.start()] if region else lines[0]
+    fields = dict(part.split("=", 1) for part in head.split() if "=" in part)
+    if "tiles" not in fields or region is None:
         raise ValueError("certificate header must carry tiles= and region=")
-    count = int(fields["tiles"])
+    path = lines[0][region.end():]
+    count = _int(fields["tiles"], 1, "tile count")
     placements = []
     for lineno, raw in enumerate(lines[1:], 2):
         line = raw.strip()
@@ -322,15 +335,15 @@ def parse_certificate_text(text: str) -> tuple[int, str, list[Placement]]:
         parts = line.split()
         if len(parts) not in (4, 5) or parts[0] not in ("+", "-"):
             raise ValueError(f"line {lineno}: expected '<+|-> tile a b [count]', got {raw!r}")
-        tile = int(parts[1])
+        tile = _int(parts[1], lineno, "tile index")
         if not 0 <= tile < count:
             raise ValueError(f"line {lineno}: tile index {tile} outside 0..{count - 1}")
+        shift = (_int(parts[2], lineno, "shift"), _int(parts[3], lineno, "shift"))
         mult = parts[4] if len(parts) == 5 else "1"
         if not mult.isdecimal() or int(mult) < 1:
             raise ValueError(f"line {lineno}: count {mult!r} is not a positive integer")
-        placements.append(Placement(tile, (int(parts[2]), int(parts[3])),
-                                    1 if parts[0] == "+" else -1, int(mult)))
-    return count, fields["region"], placements
+        placements.append(Placement(tile, shift, 1 if parts[0] == "+" else -1, int(mult)))
+    return count, path, placements
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,35 @@ def test_verify_bad_count_is_input_error(tmp_path, capsys, count):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_certificate_path_with_spaces_reads_back(tmp_path):
+    # The header names the region file "my cert.region"; its space must not
+    # cut the path short when verify and render read the header back.
+    folder = tmp_path / "sp dir"
+    folder.mkdir()
+    cert_path = str(folder / "my cert")
+    assert run(["certificate", "--n", "2", "--m", "3", "--out", cert_path]) == \
+        (0, "placements=5\n")
+    assert Path(cert_path).read_text().splitlines()[0] == "tiles=3 region=my cert.region"
+    assert run(["verify", "--certificate", cert_path, "--n", "2"]) == (0, "VALID\n")
+    svg_path = str(folder / "my cert.svg")
+    assert run(["render", "--certificate", cert_path, "--n", "2", "--format", "svg",
+                "--out", svg_path]) == (0, "")
+    assert Path(svg_path).read_bytes().startswith(b"<svg")
+
+
+@pytest.mark.parametrize("header, line, message", [
+    ("tiles=x", "+ 0 0 0", "line 1: tile count 'x' is not an integer"),
+    ("tiles=3", "+ a 0 0", "line 2: tile index 'a' is not an integer"),
+    ("tiles=3", "+ 0 0 b", "line 2: shift 'b' is not an integer"),
+])
+def test_verify_certificate_integer_error_names_the_line(tmp_path, capsys, header, line,
+                                                          message):
+    region = region_file(tmp_path, "t2.region", tri(2))
+    cert = tmp_path / "c.cert"
+    cert.write_text(f"{header} region={region}\n{line}\n")
+    assert usage_error(capsys, ["verify", "--certificate", str(cert), "--n", "2"]) == message
+
+
 def test_reduce_refuses_mislabelled_basis_file(tmp_path):
     bpath = tmp_path / "basis.txt"
     assert run(["gb", "--n", "3", "--out", str(bpath)])[0] == 0

@@ -134,7 +134,7 @@ def test_divider_widens_and_reuses_wide_slots(make):
         for conv in CONVENTIONS:
             results.append((f, conv, reduce(f, G, conv)))
         assert remainder(f, G) == reduce(f, dataclasses.replace(G)).remainder
-    assert G._divider.codec[0] > 80  # exponent bits per slot
+    assert G._divider.slots.bits > 80  # exponent bits per slot
     for f, conv, got in results:
         want = reduce(f, dataclasses.replace(G), conv)
         assert (got.remainder, got.quotients) == (want.remainder, want.quotients)
@@ -187,7 +187,7 @@ def test_stepped_normal_forms_widen_the_slots_as_they_grow():
     # needed 4, so each step sizes the slots from its own normal form.
     G = GroebnerBasis([parse_poly("x - y^7")])
     assert G.periods == (None, None)
-    assert G._divider.codec[0] >= (112).bit_length()
+    assert G._divider.slots.bits >= (112).bit_length()
     assert G.periods == periods_by_definition(G)
 
 
@@ -205,7 +205,7 @@ def test_periods_after_the_shared_divider_has_widened():
         G = buchberger(tile_generators(pinned_families()[k]), conv="nonneg")
         f = G.elements[0].mul_term(1, (huge, 1)) + parse_poly("1 + x*y")
         assert reduce(f, G).remainder == reduce(parse_poly("1 + x*y"), G).remainder
-        assert G._divider.codec[0] > 80 and "periods" not in vars(G)
+        assert G._divider.slots.bits > 80 and "periods" not in vars(G)
         assert G.periods == periods_by_definition(G)
         assert G.periods == dataclasses.replace(G).periods
 
@@ -460,9 +460,9 @@ def test_completion_skips_pairs_of_elements_a_newer_leading_term_divides(monkeyp
     calls = []
     divide_packed = groebner._Divider.divide_packed
 
-    def spy(self, work, codec, conv):
+    def spy(self, work, conv):
         calls[-1] += 1
-        return divide_packed(self, work, codec, conv)
+        return divide_packed(self, work, conv)
 
     monkeypatch.setattr(groebner._Divider, "divide_packed", spy)
     for tiles in families:

@@ -9,9 +9,9 @@ import pytest
 
 from helpers import poly_with_terms, random_poly, schoolbook_product
 from tilegb.bones import b3_poly, bone_polynomials, triangle
-from tilegb.polyring import (LEX, Polynomial, PolyParseError, TermOrder,
+from tilegb.polyring import (LEX, Polynomial, PolyParseError, Slots, TermOrder,
                              coeff_divmod, diff_quotient, format_poly,
-                             parse_poly)
+                             mono_divides, parse_poly)
 
 
 def test_add_cancellation():
@@ -175,6 +175,52 @@ def test_lex_order_is_multiplicative():
 def test_y_before_x_precedence():
     order = TermOrder(precedence=(1, 0))
     assert order.key((2, 0)) < order.key((1, 5))  # y^5*x > x^2 when y leads
+
+
+# ---------------------------------------------------------------------------
+# the packed-monomial layout
+
+@pytest.mark.parametrize("precedence", [(0, 1), (1, 0), (2, 0, 1)])
+@pytest.mark.parametrize("bits", [1, 3, 7, 70])
+def test_slots_round_trip_and_order(precedence, bits):
+    # Maps of 0..7 terms decode term by term, those of 8 or more column by
+    # column; both must give back the map in its order.  Comparing packed
+    # monomials is comparing their keys under the precedence, and u - v is
+    # non-negative with no guard bit set exactly when v divides u.
+    rng = random.Random(bits * 10 + len(precedence))
+    nvars, top = len(precedence), 2 ** bits - 1
+    slots, order = Slots(bits, precedence), TermOrder(precedence)
+
+    def mono():
+        return tuple(rng.choice([0, 1, top, rng.randint(0, top)]) for _ in range(nvars))
+
+    for size in [0, 1, 2, 7, 8, 9, 40]:
+        terms = {}
+        while len(terms) < size and len(terms) < (top + 1) ** nvars:
+            terms[mono()] = rng.randint(-9, 9) or 1
+        packed = slots.pack(terms)
+        assert list(packed.values()) == list(terms.values())
+        assert list(packed) == [slots.mono(m) for m in terms]
+        assert list(slots.pack(terms, list(zip(*terms)))) == list(packed)
+        decoded = slots.unpack(packed)
+        assert list(decoded.items()) == list(terms.items())
+        assert slots.unpack(list(packed), list(packed.values())) == decoded
+        if terms:
+            assert slots.columns(packed) == [list(col) for col in zip(*terms)]
+    for _ in range(300):
+        u, v = mono(), mono()
+        pu, pv = slots.mono(u), slots.mono(v)
+        assert (pu < pv) == (order.key(u) < order.key(v))
+        assert (pu == pv) == (u == v)
+        assert (pu - pv >= 0 and not (pu - pv) & slots.guard) == mono_divides(v, u)
+
+
+def test_slots_place_the_leading_variable_highest():
+    assert Slots(3, (0, 1)).shifts == [4, 0]
+    assert Slots(3, (1, 0)).shifts == [0, 4]
+    assert Slots(2, (2, 0, 1)).shifts == [3, 0, 6]
+    assert Slots(2, (2, 0, 1)).guard == (1 << 2) | (1 << 5) | (1 << 8)
+    assert Slots(2, (2, 0, 1)).mono((1, 2, 3)) == 1 << 3 | 2 | 3 << 6
 
 
 @pytest.mark.parametrize("a,d,conv,expected", [

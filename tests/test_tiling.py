@@ -411,6 +411,27 @@ def test_certificate_tile_index_error_names_line_and_range():
     assert str(err.value) == "line 3: tile index 7 outside 0..2"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("tiles=a region=r\n+ 0 0 0\n", "line 1: tile count 'a' is not an integer"),
+    ("tiles=3 region=r\n+ 0 0 0\n+ a 0 0\n", "line 3: tile index 'a' is not an integer"),
+    ("tiles=3 region=r\n+ 0 a 0\n", "line 2: shift 'a' is not an integer"),
+    ("tiles=3 region=r\n\n+ 0 0 1.5\n", "line 3: shift '1.5' is not an integer"),
+])
+def test_certificate_integer_errors_name_the_line(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_certificate_text(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("path", ["my cert.region", "a  b\tc region=d.region", "r "])
+def test_certificate_region_path_runs_to_the_end_of_the_header(path):
+    cert = certificate_nbone(3, 2)
+    text = certificate_to_text(cert, path)
+    assert parse_certificate_text(text) == (3, path, cert.placements)
+    with pytest.raises(ValueError, match="tiles= and region="):
+        parse_certificate_text(f"region={path} tiles=3\n")
+
+
 def test_certificate_sign_token_must_be_exact():
     with pytest.raises(ValueError):
         parse_certificate_text("tiles=3 region=r\n+- 0 0 0\n")
