@@ -20,8 +20,9 @@ class RationalForm:
     terms: list[tuple[Polynomial, list[Polynomial]]]
 
 
-def _p(coeffs: dict) -> Polynomial:
-    return Polynomial(coeffs)
+_ONE_MINUS_X = Polynomial({(0, 0): 1, (1, 0): -1})
+_ONE_MINUS_Y = Polynomial({(0, 0): 1, (0, 1): -1})
+_X_MINUS_Y = Polynomial({(1, 0): 1, (0, 1): -1})
 
 
 def rational_form_T(m: int) -> RationalForm:
@@ -29,16 +30,10 @@ def rational_form_T(m: int) -> RationalForm:
     1/((1-x)(1-y)) + x^(m+1)/((x-1)(x-y)) + y^(m+1)/((y-1)(y-x))."""
     if m < 0:
         raise ValueError("negative side length")
-    one_minus_x = _p({(0, 0): 1, (1, 0): -1})
-    one_minus_y = _p({(0, 0): 1, (0, 1): -1})
-    x_minus_one = _p({(1, 0): 1, (0, 0): -1})
-    y_minus_one = _p({(0, 1): 1, (0, 0): -1})
-    x_minus_y = _p({(1, 0): 1, (0, 1): -1})
-    y_minus_x = _p({(0, 1): 1, (1, 0): -1})
     return RationalForm([
-        (Polynomial.constant(1), [one_minus_x, one_minus_y]),
-        (_p({(m + 1, 0): 1}), [x_minus_one, x_minus_y]),
-        (_p({(0, m + 1): 1}), [y_minus_one, y_minus_x]),
+        (Polynomial.constant(1), [_ONE_MINUS_X, _ONE_MINUS_Y]),
+        (Polynomial({(m + 1, 0): 1}), [-_ONE_MINUS_X, _X_MINUS_Y]),
+        (Polynomial({(0, m + 1): 1}), [-_ONE_MINUS_Y, -_X_MINUS_Y]),
     ])
 
 
@@ -49,13 +44,10 @@ def verify_brion(m: int) -> bool:
     each row to two terms, so only that first product is as large as T(m)."""
     if m < 0:
         raise ValueError("negative side length")
-    one_minus_x = _p({(0, 0): 1, (1, 0): -1})
-    one_minus_y = _p({(0, 0): 1, (0, 1): -1})
-    x_minus_y = _p({(1, 0): 1, (0, 1): -1})
-    rhs = (x_minus_y
-           - _p({(m + 1, 0): 1}) * one_minus_y
-           + _p({(0, m + 1): 1}) * one_minus_x)
+    rhs = (_X_MINUS_Y
+           - Polynomial({(m + 1, 0): 1}) * _ONE_MINUS_Y
+           + Polynomial({(0, m + 1): 1}) * _ONE_MINUS_X)
     lhs = triangle(m)
-    for factor in (one_minus_x, one_minus_y, x_minus_y):
+    for factor in (_ONE_MINUS_X, _ONE_MINUS_Y, _X_MINUS_Y):
         lhs = lhs * factor
     return lhs == rhs

@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="tile homology group")
     p.add_argument("--n", type=int)
     p.add_argument("--tiles")
-    p.add_argument("--box", type=int, help="fixed box side instead of a stabilization scan")
+    p.add_argument("--box", type=int, help="group of one D x D box instead of H")
 
     p = sub.add_parser("oracle", help="brute-force box search")
     p.add_argument("--region", required=True)
@@ -274,10 +274,12 @@ def _cmd_certificate(args, out: list[str]) -> int:
     cert = tiling.certificate_nbone(args.m, args.n)
     if args.out:
         region_path = args.out + ".region"
+        # Built first, so that a region path it refuses leaves no file behind.
+        text = tiling.certificate_to_text(cert, os.path.basename(region_path))
         with open(region_path, "w", encoding="utf-8") as fh:
             fh.write(tiling.region_to_text(cert.region))
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(tiling.certificate_to_text(cert, os.path.basename(region_path)))
+            fh.write(text)
     if args.svg:
         with open(args.svg, "wb") as fh:
             fh.write(tiling.render(cert, "svg"))
@@ -296,9 +298,7 @@ def _cmd_verify(args, out: list[str]) -> int:
 
 def _cmd_homology(args, out: list[str]) -> int:
     prototiles = _load_tiles(args)
-    if args.tiles is not None:
-        _check_extent(prototiles)
-    stabilized = True
+    _check_extent(prototiles)
     if args.box is not None:
         if args.box < 1:
             raise UsageError(f"--box {args.box} is below 1")
@@ -308,15 +308,8 @@ def _cmd_homology(args, out: list[str]) -> int:
         group = homology.box_group(prototiles, args.box)
     else:
         group = homology.basis_group(prototiles)
-    if group is None:
-        # Not tame: no basis route, so scan box groups instead.
-        start = 3 * tiling.tile_reach(prototiles)
-        group, stabilized = homology.stabilized_group(prototiles, start, start + 2)
-        if not stabilized:
-            print(f"warning: box groups did not stabilize on sides "
-                  f"{start}..{start + 2}", file=sys.stderr)
-    out.append(str(group))
-    return 0 if stabilized else 3
+    out.append("not finitely generated" if group is None else str(group))
+    return 0
 
 
 def _cmd_oracle(args, out: list[str]) -> int:

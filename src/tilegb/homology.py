@@ -1,12 +1,8 @@
-"""Tile homology groups: H = Z[x, 1/x, y, 1/y]/I for the ideal I of the
-prototiles' Newton polynomials, as abelian groups reduced by Smith normal form.
-
-For a tame prototile set (x^a and y^b are 1 modulo I for some a, b >= 1),
-``basis_group`` reads H off a strong Groebner basis of I.  Otherwise H is
-approximated by box groups: the cokernel of all tile translates fully
-supported in a box [0, D)^2, with a stabilization scan over D.  Box groups
-can differ from H (a finite box can add boundary classes), so they are a
-fallback.  ``nbone_homology`` is the n-bone closed form.
+"""Tile homology groups H = Z[x, 1/x, y, 1/y]/I for the ideal I of the
+prototiles' Newton polynomials, reduced by Smith normal form: ``basis_group``
+reads H off a strong Groebner basis for every tile set, or finds that H is not
+finitely generated; ``box_group`` is the group of one box [0, D)^2, which can
+differ from H, and ``nbone_homology`` the n-bone closed form.
 
 The Smith form runs on sparse rows with the echelon kernel of ``intlin``:
 row and column Hermite eliminations alternate (the second on the transposed
@@ -15,13 +11,14 @@ core) until the core is diagonal, so no dense matrix is built.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .groebner import buchberger, remainder
+from .groebner import GroebnerBasis, buchberger, remainder
 from .intlin import echelon_insert, size_reduce
 from .oracle import _translates
-from .polyring import Polynomial, mono_div, mono_divides
+from .polyring import Polynomial, TermOrder, mono_div, mono_divides
 from .tiling import Region, tile_generators
 
 
@@ -36,13 +33,11 @@ class AbelianGroup:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        prev = None
-        for d in self.invariant_factors:
+        for d, prev in zip(self.invariant_factors, (1, *self.invariant_factors)):
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
-            if prev is not None and d % prev != 0:
+            if d % prev != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
-            prev = d
 
     def __str__(self) -> str:
         parts = []
@@ -111,28 +106,40 @@ def _cokernel(rows, ngens: int) -> AbelianGroup:
 
 
 def basis_group(prototiles: list[Region]) -> AbelianGroup | None:
-    """Tile homology group of a tame prototile set from a strong basis G of I,
-    or None when some variable has no period modulo I.
+    """H, or None when H is not finitely generated, read off a strong basis of
+    I when x and y have periods modulo I (they are then units), and otherwise
+    of I + (txy - 1) in Z[x, y, t], as Z[x, y, t]/(txy - 1) is the Laurent
+    ring (Cox, Little and O'Shea, ch. 4)."""
+    gens = tile_generators(prototiles)
+    G = buchberger(gens)
+    if None in G.periods:
+        lifted = [Polynomial({(i, j, 0): c for (i, j), c in g.terms.items()}, 3) for g in gens]
+        txy_minus_1 = Polynomial({(1, 1, 1): 1, (0, 0, 0): -1}, 3)
+        G = buchberger(lifted + [txy_minus_1], TermOrder((2, 0, 1)))
+    return _read_group(G)
 
-    With periods a and b, x and y are units modulo I, so H is Z[x, y]/I, and
-    every monomial outside [0, a) x [0, b) is divisible by a monic leading
-    monomial.  The generators are the monomials M that no monic leading
-    monomial divides.  Each m in M that some leading monomial divides gets
-    the relation c*m + NF((m / LM g) * tail g), for the element g of least
-    leading coefficient c among those (c is their gcd, as G is strong).  The
-    relations are triangular, and every element of I written over M reduces
-    to zero by them, since its leading term is strongly reducible; so their
-    cokernel is H.
-    """
-    G = buchberger(tile_generators(prototiles))
-    a, b = G.periods
-    if a is None or b is None:
-        return None
+
+def _read_group(G: GroebnerBasis) -> AbelianGroup | None:
+    """R/J for a strong basis G of an ideal J of R = Z[x, y] or Z[x, y, t], or
+    None when R/J is not finitely generated.  It is generated by the monomials
+    M that no monic leading monomial divides, below each variable's smallest
+    monic pure power, with the relation c*m + NF((m / LM g) * tail g) for each
+    m in M that some LM g divides, g of least leading coefficient c (their
+    gcd, as G is strong).  These are triangular and reduce each element of J
+    over M to zero, as its leading term is strongly reducible.  Without a
+    monic pure power of a variable v, no f over 1, v, ..., v^k has
+    v^(k+1) - f in J, as no leading term of G divides 1*v^(k+1): their classes
+    span a strictly ascending chain of subgroups, which a finitely generated
+    abelian group cannot hold (Adams and Loustaunau, ch. 4)."""
     lts = G.leading_terms()
     units = [m for m, c in lts if c == 1]
+    bounds = [min((u[v] for u in units if u[v] == sum(u)), default=None)
+              for v in range(G.nvars)]
+    if None in bounds:
+        return None
     # Columns in descending term order, so each relation's pivot is its m.
-    gens = sorted(((i, j) for i in range(a) for j in range(b)
-                   if not any(mono_divides(u, (i, j)) for u in units)),
+    gens = sorted((m for m in itertools.product(*map(range, bounds))
+                   if not any(mono_divides(u, m) for u in units)),
                   key=G.order.key, reverse=True)
     col = {m: k for k, m in enumerate(gens)}
     rows = []
@@ -141,7 +148,7 @@ def basis_group(prototiles: list[Region]) -> AbelianGroup | None:
         if not divisors:
             continue
         c, g, lm = min(divisors, key=lambda t: t[0])
-        tail = (g - Polynomial({lm: c})).mul_term(1, mono_div(m, lm))
+        tail = (g - Polynomial({lm: c}, G.nvars)).mul_term(1, mono_div(m, lm))
         row = {col[t]: v for t, v in remainder(tail, G).terms.items()}
         row[col[m]] = c
         rows.append(row)
@@ -171,10 +178,9 @@ def box_group(prototiles: list[Region], box_side: int) -> AbelianGroup:
 
 def stabilized_group(prototiles: list[Region], d_start: int,
                      d_max: int) -> tuple[AbelianGroup, bool]:
-    """Scan box sides d_start..d_max; stabilized when three consecutive box
-    groups agree, in which case the stable group is returned.  Fewer than
-    three sides, or no agreeing window, reports stabilized=False with the
-    last group computed."""
+    """Scan box sides d_start..d_max: (the stable group, True) when three
+    consecutive box groups agree, and otherwise, as with fewer than three
+    sides, (the last group computed, False)."""
     if d_start > d_max:
         raise ValueError("d_start exceeds d_max")
     groups = [box_group(prototiles, d) for d in range(d_start, d_max + 1)]

@@ -301,6 +301,10 @@ def _placement_line(pl: Placement) -> str:
 
 
 def certificate_to_text(cert: Certificate, region_path: str) -> str:
+    # A line break (anything str.splitlines splits at) in the region path
+    # would end the header early, so the file could not be read back.
+    if len((region_path + ".").splitlines()) > 1:
+        raise ValueError(f"region path {region_path!r} holds a line break")
     lines = [f"tiles={len(cert.prototiles)} region={region_path}"]
     lines.extend(_placement_line(pl) for pl in cert.placements)
     return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import pinned_families
 import tilegb
 from tilegb.bones import nbone_prototiles, triangle
 from tilegb.cli import run
@@ -251,6 +252,16 @@ def test_certificate_path_with_spaces_reads_back(tmp_path):
     assert Path(svg_path).read_bytes().startswith(b"<svg")
 
 
+@pytest.mark.parametrize("brk", ["\n", "\x0c", "\x85", "\u2028"],
+                         ids=["newline", "form-feed", "next-line", "line-separator"])
+def test_certificate_out_with_line_break_is_refused(tmp_path, capsys, brk):
+    # The header could not be read back, so no file is written at all.
+    cert_path = str(tmp_path / f"x{brk}cert")
+    assert run(["certificate", "--n", "2", "--m", "3", "--out", cert_path]) == (2, "")
+    assert "holds a line break" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("header, line, message", [
     ("tiles=x", "+ 0 0 0", "line 1: tile count 'x' is not an integer"),
     ("tiles=3", "+ a 0 0", "line 2: tile index 'a' is not an integer"),
@@ -346,12 +357,25 @@ def test_homology_large_box():
 
 
 def test_homology_unstable_scan_is_inconclusive(tmp_path, capsys):
-    # The L-tromino is not tame (no power of x is 1 modulo its ideal), so it
-    # takes the box scan, whose groups do not stabilize.
+    # The L-tromino is not tame (no power of x is 1 modulo its ideal), and
+    # its H, Z[x, 1/x, 1/(1 + x)], is not finitely generated: a definite
+    # answer, with exit 0 and no warning.
     path = tmp_path / "L.tiles"
     path.write_text(tiles_to_text([frozenset({(0, 0), (0, 1), (1, 0)})]))
-    assert run(["homology", "--tiles", str(path)]) == (3, "Z^15\n")
-    assert capsys.readouterr().err == "warning: box groups did not stabilize on sides 6..8\n"
+    assert run(["homology", "--tiles", str(path)]) == (0, "not finitely generated\n")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("k, expected", [
+    # Families 17 and 18 have no periods modulo I, yet H is finite.
+    (17, "Z/2 + Z/2 + Z/2 + Z/4"), (18, "Z/2 + Z/2 + Z/2 + Z/4"),
+    *((k, "not finitely generated") for k in (5, 9, 15, 16, 19, 20)),
+])
+def test_homology_of_pinned_families_without_periods(tmp_path, capsys, k, expected):
+    path = tmp_path / "family.tiles"
+    path.write_text(tiles_to_text(pinned_families()[k]))
+    assert run(["homology", "--tiles", str(path)]) == (0, expected + "\n")
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("tiles", [

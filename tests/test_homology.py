@@ -8,10 +8,11 @@ import pytest
 from helpers import brute_minor_gcd, pinned_families, torus_group
 from tilegb.bones import bone_system, nbone_prototiles
 from tilegb.groebner import buchberger
-from tilegb.homology import (AbelianGroup, basis_group, box_group,
+from tilegb.homology import (AbelianGroup, _read_group, basis_group, box_group,
                              box_presentation, nbone_homology, snf,
                              stabilized_group)
 from tilegb.oracle import placement_system
+from tilegb.polyring import Polynomial, TermOrder
 from tilegb.tiling import decide_signed_tiling, tile_generators
 
 
@@ -218,10 +219,33 @@ def test_staircase_count_matches_group(n):
 
 # ---------------------------------------------------------------------------
 # basis_group: the group read off a strong basis, checked against the torus
-# presentation Z[Z_a x Z_b]/I, which is H when a and b are the periods.
+# presentation Z[Z_a x Z_b]/I, which is H when x^a and y^b are 1 in H.
+
+# The pinned families whose H is not finitely generated.
+NOT_FINITELY_GENERATED = (5, 9, 15, 16, 19, 20)
+
 
 def periods(tiles):
     return buchberger(tile_generators(tiles)).periods
+
+
+def laurent_basis(tiles):
+    """A strong basis of I + (txy - 1) in Z[x, y, t], t highest: the basis
+    that basis_group reads when x or y has no period modulo I."""
+    gens = [Polynomial({(i, j, 0): c for (i, j), c in g.terms.items()}, 3)
+            for g in tile_generators(tiles)]
+    return buchberger(gens + [Polynomial({(1, 1, 1): 1, (0, 0, 0): -1}, 3)],
+                      TermOrder((2, 0, 1)))
+
+
+def random_tile_sets(seed):
+    """Endless seeded draws of one to three tiles of one to five cells in a
+    4 x 4 square."""
+    rng = random.Random(seed)
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    while True:
+        yield [frozenset(rng.sample(cells, rng.randint(1, 5)))
+               for _ in range(rng.randint(1, 3))]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -241,26 +265,22 @@ def test_basis_group_matches_torus_on_pinned_families():
     for k, tiles in enumerate(pinned_families()):
         a, b = periods(tiles)
         group = basis_group(tiles)
-        assert (group is None) == (a is None or b is None), k
-        if group is not None and a * b <= 64:
+        assert (group is None) == (k in NOT_FINITELY_GENERATED), k
+        if a is not None and b is not None and a * b <= 64:
             assert torus_group(tiles, a, b) == group, k
             compared += 1
     assert compared == 9
 
 
 def test_basis_group_matches_torus_on_random_sets():
-    rng = random.Random(1)
-    cells = [(i, j) for i in range(4) for j in range(4)]
+    draws = random_tile_sets(1)
     compared = nontrivial = 0
     while compared < 100:
-        tiles = [frozenset(rng.sample(cells, rng.randint(1, 5)))
-                 for _ in range(rng.randint(1, 3))]
-        group = basis_group(tiles)
-        if group is None:
-            continue
+        tiles = next(draws)
         a, b = periods(tiles)
-        if a * b > 64:
+        if a is None or b is None or a * b > 64:
             continue
+        group = basis_group(tiles)
         assert torus_group(tiles, a, b) == group, tiles
         compared += 1
         nontrivial += group != AbelianGroup(0)
@@ -281,6 +301,48 @@ def test_basis_group_none_when_not_tame():
     assert basis_group([frozenset({(0, 0), (0, 1), (1, 0)})]) is None
     # y occurs in no tile, so it has no period.
     assert basis_group([frozenset({(0, 0), (1, 0)})]) is None
+
+
+def test_saturated_reading_matches_basis_group_on_tame_sets():
+    # The same group read off the two-variable basis and off the saturated
+    # one, on the 13 tame pinned families and on 100 random tame sets.
+    tame = [tiles for tiles in pinned_families() if None not in periods(tiles)]
+    assert len(tame) == 13
+    draws = random_tile_sets(5)
+    while len(tame) < 113:
+        tiles = next(draws)
+        if None not in periods(tiles):
+            tame.append(tiles)
+    for tiles in tame:
+        assert _read_group(laurent_basis(tiles)) == basis_group(tiles), tiles
+
+
+@pytest.mark.parametrize("k", (17, 18))
+def test_basis_group_of_pinned_families_without_periods(k):
+    # Neither x nor y has a period modulo I, but both have period 7 in H, so
+    # the torus presentation on 7 x 7 is H too: an independent route.
+    tiles = pinned_families()[k]
+    assert periods(tiles) == (None, None)
+    assert laurent_basis(tiles).periods[:2] == (7, 7)
+    assert basis_group(tiles) == AbelianGroup(0, (2, 2, 2, 4)) == torus_group(tiles, 7, 7)
+
+
+def test_basis_group_matches_torus_with_periods_in_h():
+    # Sets without periods modulo I whose H still has them: the saturated
+    # reading against the torus presentation on those periods.
+    draws = random_tile_sets(5)
+    compared = nontrivial = 0
+    for _ in range(500):
+        tiles = next(draws)
+        if None not in periods(tiles):
+            continue
+        a, b, _ = laurent_basis(tiles).periods
+        if a is not None and b is not None and a * b <= 64:
+            group = basis_group(tiles)
+            assert group == torus_group(tiles, a, b), tiles
+            compared += 1
+            nontrivial += group != AbelianGroup(0)
+    assert compared >= 10 and nontrivial >= 4
 
 
 def test_basis_group_single_cell():

@@ -432,6 +432,15 @@ def test_certificate_region_path_runs_to_the_end_of_the_header(path):
         parse_certificate_text(f"region={path} tiles=3\n")
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\x0c", "\x85", "\u2028"],
+                         ids=["newline", "crlf", "form-feed", "next-line", "line-separator"])
+def test_certificate_refuses_region_path_with_line_break(brk):
+    cert = certificate_nbone(3, 2)
+    for path in (f"x{brk}cert.region", f"cert.region{brk}", brk):
+        with pytest.raises(ValueError, match="holds a line break"):
+            certificate_to_text(cert, path)
+
+
 def test_certificate_sign_token_must_be_exact():
     with pytest.raises(ValueError):
         parse_certificate_text("tiles=3 region=r\n+- 0 0 0\n")
