@@ -3,10 +3,12 @@
 Independent of the Groebner route: a signed tiling restricted to a box is an
 integer solution of A z = t for the region indicator t.  The columns of A,
 the indicators of the prototile translates inside the box, are built once per
-box and solved on by Hermite-style elimination, and only the nonzero entries
-of z become placements.  ``placement_system`` is the row view of the same
-columns; ``hnf_solve`` turns its dense rows into columns once.  A failure only
-rules out tilings confined to the box, so it is ``no_solution_in_box``.
+box and solved on by Hermite-style elimination: membership in the requested
+box, then z in the smallest box padded by 0, 1, 2, 4, ... that solves.  Only
+the nonzero entries of z become placements.  ``placement_system`` is the row
+view of the same columns; ``hnf_solve`` turns its dense rows into columns
+once.  A failure only rules out tilings confined to the box, so it is
+``no_solution_in_box``.
 """
 
 from __future__ import annotations
@@ -44,28 +46,29 @@ class OracleDecision:
         return "yes" if self.solvable else "no_solution_in_box"
 
 
-def _solve_columns(columns: list[dict[int, int]], firsts: list[int],
-                   target: dict[int, int]) -> list[int] | None:
-    """Some integer z with sum_c z[c] * columns[c] = target, or None when
-    there is none; ``firsts[c]`` is the first row of column c.
-
-    Membership is tested with no log on copies inserted from the far end
-    (descending first row, then index), whose Euclid chains are far shorter.
-    Only a member's columns go in again, sparsest-leading first, which keeps
-    the witness small, with their combinations logged; that consumes them."""
-    # Sparsest-leading first: distinct leading rows insert without work.
-    order = sorted(range(len(columns)), key=firsts.__getitem__)
+def _in_lattice(columns: list[dict[int, int]], firsts: list[int],
+                target: dict[int, int]) -> bool:
+    """Whether ``target`` is an integer combination of the columns, where
+    ``firsts[c]`` is the first row of column c: tested with no log on copies
+    inserted from the far end (descending first row, then index), whose
+    Euclid chains are far shorter."""
     pivots: dict[int, dict[int, int]] = {}
-    for c in reversed(order):
+    for c in reversed(sorted(range(len(columns)), key=firsts.__getitem__)):
         echelon_insert(pivots, dict(columns[c]))
-    if lattice_express(pivots, None, target) is None:
-        return None
-    pivots = {}
+    return lattice_express(pivots, None, target) is not None
+
+
+def _witness(columns: list[dict[int, int]], firsts: list[int],
+             target: dict[int, int]) -> list[int] | None:
+    """Some integer z with sum_c z[c] * columns[c] = target, or None.  The
+    columns go in sparsest-leading first, which keeps z small, with their
+    combinations logged; that consumes them."""
+    pivots: dict[int, dict[int, int]] = {}
     combos = Combinations()
-    for c in order:
+    for c in sorted(range(len(columns)), key=firsts.__getitem__):
         echelon_insert(pivots, columns[c], combos, [(1, ~c)])
     combo = lattice_express(pivots, combos, target)
-    return [combo.get(c, 0) for c in range(len(columns))]
+    return None if combo is None else [combo.get(c, 0) for c in range(len(columns))]
 
 
 def hnf_solve(A: list[list[int]], t: list[int]) -> list[int] | None:
@@ -77,8 +80,9 @@ def hnf_solve(A: list[list[int]], t: list[int]) -> list[int] | None:
     if any(len(row) != k for row in A):
         raise ValueError("ragged matrix")
     columns = [{i: row[c] for i, row in enumerate(A) if row[c]} for c in range(k)]
-    return _solve_columns(columns, [min(col, default=m) for col in columns],
-                          {i: v for i, v in enumerate(t) if v})
+    firsts = [min(col, default=m) for col in columns]
+    target = {i: v for i, v in enumerate(t) if v}
+    return _witness(columns, firsts, target) if _in_lattice(columns, firsts, target) else None
 
 
 def _translates(prototiles: list[Region], box: tuple[int, int, int, int]):
@@ -101,12 +105,15 @@ def _translates(prototiles: list[Region], box: tuple[int, int, int, int]):
     return translates, firsts
 
 
-def _box_columns(region: Region, prototiles: list[Region], margin: int):
-    """The box (the region's bounding box padded by ``margin``), its
-    ``_translates`` and the target ``{cell: 1}`` over the region's cells."""
+def _validate(prototiles: list[Region], margin: int) -> None:
     tile_generators(prototiles)  # validates; the shifts use raw tile coordinates
     if margin < 0:
         raise ValueError("negative margin")
+
+
+def _box_columns(region: Region, prototiles: list[Region], margin: int):
+    """The box (the region's bounding box padded by ``margin``), its
+    ``_translates`` and the target ``{cell: 1}`` over the region's cells."""
     box = (0, 1, 0, 1)
     if region:
         xs = [i for i, _ in region]
@@ -121,6 +128,7 @@ def placement_system(region: Region, prototiles: list[Region], margin: int) -> P
     """Box = bounding box of the region padded by ``margin``; placements are
     all prototile translates fully inside the box, and the matrix is the row
     view of the columns the oracle solves on."""
+    _validate(prototiles, margin)
     box, translates, _, target = _box_columns(region, prototiles, margin)
     ncells = (box[1] - box[0]) * (box[3] - box[2])
     matrix: list[dict[int, int]] = [{} for _ in range(ncells)]
@@ -138,10 +146,23 @@ def oracle_decide(region: Region, prototiles: list[Region], margin: int) -> Orac
     ``no_solution_in_box`` is inconclusive evidence, since placements outside
     the box might still make a tiling possible.
     """
+    _validate(prototiles, margin)
     _, translates, firsts, target = _box_columns(region, prototiles, margin)
-    z = _solve_columns([column for _, _, column in translates], firsts, target)
-    if z is None:
+    columns = [column for _, _, column in translates]
+    if not _in_lattice(columns, firsts, target):
         return OracleDecision(False)
-    cert = verified_certificate(prototiles, region, ((tidx, shift, v) for (tidx, shift, _), v
-                                                     in zip(translates, z) if v))
-    return OracleDecision(True, z, cert)
+    # A tiling inside a smaller padded box is one inside this box too, and
+    # the logged pass is far cheaper there.
+    pad = 0
+    while pad < margin:
+        _, small, small_firsts, small_target = _box_columns(region, prototiles, pad)
+        z = _witness([column for _, _, column in small], small_firsts, small_target)
+        if z is not None:
+            break
+        pad = max(1, 2 * pad)
+    else:
+        small, z = translates, _witness(columns, firsts, target)
+    # Shifts are absolute, so z moves onto this box's columns by (tile, shift).
+    weights = {(tidx, shift): v for (tidx, shift, _), v in zip(small, z) if v}
+    cert = verified_certificate(prototiles, region, ((t, s, v) for (t, s), v in weights.items()))
+    return OracleDecision(True, [weights.get((t, s), 0) for t, s, _ in translates], cert)

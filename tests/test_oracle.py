@@ -128,9 +128,26 @@ def test_placement_system_shape():
         assert sum(row.get(c, 0) for row in system.matrix) == 2
 
 
+def dense_system(region, tiles, margin):
+    system = placement_system(region, tiles, margin)
+    k = len(system.placements)
+    return system, [[row.get(c, 0) for c in range(k)] for row in system.matrix]
+
+
+def witness_margins(margin):
+    """The margins whose boxes the oracle tries in turn for its witness."""
+    pad = 0
+    while pad < margin:
+        yield pad
+        pad = max(1, 2 * pad)
+    yield margin
+
+
 def test_oracle_solution_matches_dense_hnf_solve():
-    # The oracle solves the sparse rows directly; the public dense entry point
-    # on the densified system is the reference and must give the same vector.
+    # The oracle solves sparse columns directly; the public dense entry point
+    # on the densified systems is the reference.  It must decide the
+    # requested box alike, and the oracle's z, which solves the requested
+    # box, must be its solution in the box the witness came from.
     rng = random.Random(404)
     for _ in range(60):
         tiles = [frozenset((rng.randrange(3), rng.randrange(3))
@@ -139,10 +156,20 @@ def test_oracle_solution_matches_dense_hnf_solve():
         region = frozenset((i, j) for i in range(4) for j in range(4)
                            if rng.random() < 0.4)
         margin = rng.randrange(0, 4)
-        system = placement_system(region, tiles, margin)
-        k = len(system.placements)
-        dense = [[row.get(c, 0) for c in range(k)] for row in system.matrix]
-        assert oracle_decide(region, tiles, margin).solution == hnf_solve(dense, system.target)
+        system, dense = dense_system(region, tiles, margin)
+        decision = oracle_decide(region, tiles, margin)
+        assert decision.solvable == (hnf_solve(dense, system.target) is not None)
+        if not decision.solvable:
+            continue
+        assert matvec(dense, decision.solution) == system.target
+        for pad in witness_margins(margin):
+            small, small_dense = dense_system(region, tiles, pad)
+            z = hnf_solve(small_dense, small.target)
+            if z is not None:
+                break
+        weights = {(p.tile, p.shift): v for p, v in zip(system.placements, decision.solution)}
+        assert [weights[p.tile, p.shift] for p in small.placements] == z
+        assert sum(map(abs, decision.solution)) == sum(map(abs, z))
 
 
 def test_placement_system_rejects_bad_input():
@@ -231,37 +258,39 @@ def test_oracle_certificate_has_one_placement_per_nonzero_entry():
 
 # sha256 of certificate_to_text(cert, "region") for each pinned certificate.
 CERTIFICATE_SHA256 = {
-    ("family2", 7, 1): "fbb837ca6b23e341bc84f5f15490a5c986a4b9aa32fc35d857b50fa9afdc4d62",
-    ("family2", 7, 2): "1bc3958c093b25fd4115a6b79ff72e989add236b2fd821e8df5107239442d438",
-    ("family3", 7, 1): "e9224eead3c1ceb0b5d5722fbf6cf2ba40f3af60031222bc1541a671c9d4fef7",
-    ("family3", 7, 2): "a91ba4bf82f7c8ac6d4f2318ee8a2315e05a41b2bed33a831e0c1fc6aad4542c",
-    ("family4", 7, 1): "4132bf075e7c3bfb8bbf7c59a7a6c5ba7237f7e830766d5ca55e43a60d3066e9",
-    ("family4", 7, 2): "2be88cdc1f64c7ea454e6ef17fe0fc117dd9b5572a2764f6947b2344feb2d4f7",
-    ("family14", 7, 1): "c91ef50a6fe2e1ed6323a5bcb3c5ca00f6cb81b498e58920d3fdad72924f90ba",
-    ("family14", 7, 2): "635c662d79a3f61af84edbc668ebf778b524a0888aaf203422376e5de7729c45",
+    ("family2", 7, 1): "b035ed33025eb175aaa04ba316bbbc51643cc18eca71e34b0ae015127f42cee2",
+    ("family2", 7, 2): "b035ed33025eb175aaa04ba316bbbc51643cc18eca71e34b0ae015127f42cee2",
+    ("family3", 7, 1): "c46afa75260edacfaa40b2386e47672304a134c9dfbe920d2e98c0e27dc8a267",
+    ("family3", 7, 2): "c46afa75260edacfaa40b2386e47672304a134c9dfbe920d2e98c0e27dc8a267",
+    ("family4", 7, 1): "47765cfa7dd3f9b41bcb6834f20257793abc59c5e3168a6827b68f33097aad9d",
+    ("family4", 7, 2): "47765cfa7dd3f9b41bcb6834f20257793abc59c5e3168a6827b68f33097aad9d",
+    ("family14", 7, 1): "3ecbdf8ed16621b6daa9f2843906e76fb06ea89fb95eafe1e0f5c20fa31f8bef",
+    ("family14", 7, 2): "3ecbdf8ed16621b6daa9f2843906e76fb06ea89fb95eafe1e0f5c20fa31f8bef",
     ("family17", 7, 1): "d275e14075df9df0e9063d3cee76e0e03595534ace500ccc8816a7b39c599ff3",
-    ("family17", 7, 2): "b46cf152125b37c1b4ca24189da97cbfbe0ed743ec651c560b09dcd00da91109",
+    ("family17", 7, 2): "d275e14075df9df0e9063d3cee76e0e03595534ace500ccc8816a7b39c599ff3",
     ("family18", 7, 1): "7e39ac9a611425fd539199fad5ae9bdcbd145a6b4785bd8327dab4877d92469c",
-    ("family18", 7, 2): "895fef075d025483d93e8e5d18012b0aaa58a2b98cb8478d87738c67afdcfca9",
-    (3, 8, 6): "01cb9a78b728ab993fcdacf62f1c240e34f7734bae181aba0479dcfc22cf86c4",
-    (3, 9, 6): "6f2478c68f8bc860c13a839bcbcd4d9aa46b6c4595eee05683f1ea35037bbc20",
+    ("family18", 7, 2): "7e39ac9a611425fd539199fad5ae9bdcbd145a6b4785bd8327dab4877d92469c",
+    (3, 8, 6): "3011d3397668a00b1e0ab843df462d26d2b94fc576cdbf309a9900df40db9120",
+    (3, 9, 6): "76c1ecf867e6deb288951e655a2b4859e77876b1b564b51252a5446345a1d43e",
 }
 
 
 @pytest.mark.parametrize("tiles,m,margin,units,distinct", [
     # "family<k>" is pinned family k; 3 is the 3-bones.
-    ("family2", 7, 1, 71, 35), ("family2", 7, 2, 121, 48),
-    ("family3", 7, 1, 61, 32), ("family3", 7, 2, 1955, 47),
-    ("family4", 7, 1, 43, 33), ("family4", 7, 2, 55751, 48),
-    ("family14", 7, 1, 49, 32), ("family14", 7, 2, 362247, 44),
-    ("family17", 7, 1, 41, 31), ("family17", 7, 2, 85, 41),
-    ("family18", 7, 1, 53, 35), ("family18", 7, 2, 133, 52),
-    (3, 8, 6, 84, 56), (3, 9, 6, 93, 61),
+    ("family2", 7, 1, 25, 21), ("family2", 7, 2, 25, 21),
+    ("family3", 7, 1, 27, 18), ("family3", 7, 2, 27, 18),
+    ("family4", 7, 1, 25, 20), ("family4", 7, 2, 25, 20),
+    ("family14", 7, 1, 57, 24), ("family14", 7, 2, 57, 24),
+    ("family17", 7, 1, 41, 31), ("family17", 7, 2, 41, 31),
+    ("family18", 7, 1, 53, 35), ("family18", 7, 2, 53, 35),
+    (3, 8, 6, 20, 19), (3, 9, 6, 27, 24),
 ])
 def test_oracle_certificate_sizes(tiles, m, margin, units, distinct):
-    # The witness comes from the columns inserted sparsest-leading first;
-    # inserted from the far end instead, 10 of the 12 family certificates
-    # grow (family 3 at margin 2 to 19,113 units).
+    # The witness comes from the smallest of the boxes padded by 0, 1, 2,
+    # 4, ... that solves, with its columns inserted sparsest-leading first;
+    # from the requested box instead, family 14 at margin 2 took 362,247
+    # units.  Only family 17 and family 18 need margin 1, so their two
+    # margins give one certificate.
     if isinstance(tiles, int):
         prototiles = nbone_prototiles(tiles)
     else:
@@ -307,21 +336,21 @@ def test_oracle_makes_placements_only_for_a_certificate(monkeypatch):
     assert built == []
     decision = oracle_decide(tri_region(9), nbone_prototiles(3), 6)
     assert decision.solvable
-    assert len(built) == sum(1 for v in decision.solution if v) == 61
+    assert len(built) == sum(1 for v in decision.solution if v) == 24
 
 
 def test_placement_matrix_is_the_transpose_of_the_solved_columns(monkeypatch):
-    # placement_system's rows and the columns oracle_decide hands its solver
-    # come from one enumeration; the solver inserts the columns in the stable
-    # order of their first rows.
+    # placement_system's rows and the columns of the requested box that
+    # oracle_decide tests membership on come from one enumeration; the
+    # solver orders the columns by their first rows.
     seen = []
-    solve = tilegb.oracle._solve_columns
+    in_lattice = tilegb.oracle._in_lattice
 
     def spy(columns, firsts, target):
         seen.append((copy.deepcopy(columns), list(firsts), dict(target)))
-        return solve(columns, firsts, target)
+        return in_lattice(columns, firsts, target)
 
-    monkeypatch.setattr(tilegb.oracle, "_solve_columns", spy)
+    monkeypatch.setattr(tilegb.oracle, "_in_lattice", spy)
     rng = random.Random(505)
     for _ in range(60):
         tiles = [frozenset((rng.randrange(-2, 3), rng.randrange(-2, 3))
@@ -339,6 +368,52 @@ def test_placement_matrix_is_the_transpose_of_the_solved_columns(monkeypatch):
             for i in range(len(system.matrix))]
         assert firsts == [min(col) for col in columns]
         assert system.target == [target.get(i, 0) for i in range(len(system.target))]
+
+
+@pytest.mark.parametrize("family,units,distinct", [(17, 41, 31), (18, 53, 35)])
+def test_oracle_witness_margin_escalates(family, units, distinct):
+    # Families 17 and 18 of perfbench/pinned.json tile T(7) in no box of
+    # margin 0 but in the box of margin 1, so a margin-2 yes takes its
+    # witness from the margin-1 box and must still solve the margin-2 box.
+    tiles = pinned_families()[family]
+    assert not oracle_decide(tri_region(7), tiles, 0).solvable
+    assert oracle_decide(tri_region(7), tiles, 1).solvable
+    decision = oracle_decide(tri_region(7), tiles, 2)
+    assert decision.solvable
+    assert verify_certificate(decision.certificate)
+    system = placement_system(tri_region(7), tiles, 2)
+    assert [sum(decision.solution[c] * v for c, v in row.items())
+            for row in system.matrix] == system.target
+    assert len(decision.certificate.placements) == distinct
+    assert sum(p.count for p in decision.certificate.placements) == units
+
+
+def test_oracle_no_enumerates_one_box(monkeypatch):
+    # A no_solution_in_box is decided on the requested box alone, with no
+    # log; a yes enumerates the smaller boxes only up to the first that
+    # solves.  NOs are 30 of the 36 3-bone oracle ops in the lattice
+    # benchmark.
+    margins, built = [], []
+    box_columns = tilegb.oracle._box_columns
+
+    def spy(region, prototiles, margin):
+        margins.append(margin)
+        return box_columns(region, prototiles, margin)
+
+    class Spy(tilegb.oracle.Combinations):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(tilegb.oracle, "_box_columns", spy)
+    monkeypatch.setattr(tilegb.oracle, "Combinations", Spy)
+    for m in (2, 7, 10):
+        assert not oracle_decide(tri_region(m), nbone_prototiles(3), 6).solvable
+        assert margins == [6]
+        margins.clear()
+    assert built == []
+    assert oracle_decide(tri_region(9), nbone_prototiles(3), 6).solvable
+    assert margins == [6, 0]
 
 
 @pytest.mark.parametrize("m", range(3, 8))
