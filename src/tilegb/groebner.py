@@ -643,7 +643,10 @@ def ideal_member(f: Polynomial, G: GroebnerBasis) -> tuple[bool, list[Polynomial
 
 
 def basis_to_text(G: GroebnerBasis) -> str:
-    """Serialize: a header line, then one canonical polynomial per line."""
+    """Serialize: a header line, then one canonical polynomial per line.
+    The header names x, y and lex order, so any other basis is refused."""
+    if G.nvars != 2 or G.order != LEX:
+        raise ValueError("basis_to_text writes bases in x, y under lex order only")
     lines = [f"order=lex vars=x,y conv={G.convention}"]
     lines.extend(format_poly(g) for g in G.elements)
     return "\n".join(lines) + "\n"

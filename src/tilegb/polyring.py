@@ -90,8 +90,8 @@ class Slots:
 
     ``pack`` encodes a term map one exponent column at a time, with one
     C-level map per variable and no interpreter frame per term (``encode``).
-    ``unpack`` decodes the same way from 8 terms on (``columns``); a shorter
-    map is decoded term by term."""
+    ``unpack`` decodes the same way, whatever the size of the map
+    (``columns``)."""
 
     __slots__ = ("bits", "shifts", "guard")
 
@@ -138,11 +138,8 @@ class Slots:
         packed term map and its values are the coefficients."""
         if coeffs is None:
             coeffs = packed.values()
-        if len(packed) < 8:
-            mask, shifts = (1 << self.bits) - 1, self.shifts
-            return {tuple([(p >> s) & mask for s in shifts]): c for p, c in zip(packed, coeffs)}
         # One column of exponents per variable, zipped into tuples at the end,
-        # spends no interpreter frame per term; it wins from about 8 terms on.
+        # spends no interpreter frame per term.
         return dict(zip(zip(*self.columns(packed)), coeffs))
 
 
@@ -380,7 +377,9 @@ def diff_quotient(p: Polynomial) -> Polynomial:
     return Polynomial(data, 2)
 
 
-VAR_NAMES = ("x", "y")
+# The third name is the Laurent variable t of I + (txy - 1), which
+# ``homology.basis_group`` completes in Z[x, y, t].
+VAR_NAMES = ("x", "y", "t")
 
 
 def _display_key(item: tuple[Mono, int]) -> tuple[int, tuple[int, ...]]:

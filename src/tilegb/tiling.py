@@ -16,7 +16,7 @@ from typing import Iterable
 
 from . import bones, groebner
 from .groebner import buchberger
-from .polyring import LEX, Polynomial
+from .polyring import Polynomial
 
 Cell = tuple[int, int]
 Region = frozenset  # of Cell
@@ -121,14 +121,6 @@ def _lifted_weights(G: groebner.GroebnerBasis, quotients: list[Polynomial],
             for (a, b), c in sorted(cf.terms.items())]
 
 
-def _lifted_certificate(G: groebner.GroebnerBasis, quotients: list[Polynomial],
-                        prototiles: list[Region], region: Region,
-                        offsets: list[Cell]) -> Certificate:
-    """Certificate from a zero-remainder division by G: one placement per
-    lifted cofactor term (``_lifted_weights``)."""
-    return verified_certificate(prototiles, region, _lifted_weights(G, quotients, offsets))
-
-
 def tile_generators(prototiles: list[Region]) -> list[Polynomial]:
     """Generators of the prototile ideal: the Newton polynomial of each
     prototile translated to start at (0, 0).  Refuses an empty list and
@@ -154,9 +146,11 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
                          max_rounds: int = 8) -> TilingDecision:
     """Decide signed tilability of ``region`` by translates of ``prototiles``.
 
-    Completes a strong basis of the prototile ideal once, then tests
-    membership of (xy)^(t*D) * f_region for t = 0..max_rounds, where D is one
-    more than the largest prototile extent (a cofinal test sequence).  Round
+    Completes a strong basis of the prototile ideal once, under the default
+    ``minabs`` convention, with the same call as ``homology.basis_group``.
+    It then tests membership of (xy)^(t*D) * f_region for t =
+    0..max_rounds, where D is one more than the largest prototile extent
+    (a cofinal test sequence).  Round
     0 takes the normal form r_0 of f_region (folded by the variable periods);
     round t takes r_t = NF((xy)^D * r_(t-1)), which is NF((xy)^(t*D) *
     f_region) because a strong basis gives unique normal forms.  The basis
@@ -177,7 +171,7 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
     offsets = [_origin_shift(t) for t in prototiles]
     region_norm, (ri, rj) = normalize_region(region)
     f_region = newton_polynomial(region_norm)
-    G = buchberger(gens, LEX, "nonneg")
+    G = buchberger(gens)
     d = _reach(gens)
 
     # A variable is tame when multiplication by it is invertible modulo the
@@ -194,8 +188,8 @@ def decide_signed_tiling(region: Region, prototiles: list[Region],
         return TilingDecision("no" if decisive else "inconclusive")
     res = groebner.reduce(f_region.mul_term(1, (t * d, t * d)), G)
     shifted = [(oi - t * d - ri, oj - t * d - rj) for oi, oj in offsets]
-    return TilingDecision("yes", _lifted_certificate(G, res.quotients, prototiles,
-                                                     region, shifted))
+    return TilingDecision("yes", verified_certificate(
+        prototiles, region, _lifted_weights(G, res.quotients, shifted)))
 
 
 def certificate_nbone(m: int, n: int) -> Certificate:

@@ -9,8 +9,8 @@ from pathlib import Path
 from tilegb.bones import bone_system, nbone_prototiles, triangle
 from tilegb.groebner import buchberger, reduce
 from tilegb.homology import AbelianGroup, snf
-from tilegb.polyring import LEX, Polynomial
-from tilegb.tiling import (TilingDecision, _lifted_certificate, newton_polynomial,
+from tilegb.polyring import Polynomial
+from tilegb.tiling import (TilingDecision, _lifted_weights, newton_polynomial,
                            normalize_region, tile_generators, tile_reach,
                            verified_certificate)
 
@@ -136,13 +136,14 @@ def lifted_rows(G):
 
 
 def decide_by_full_division(region, prototiles, max_rounds=8):
-    """The signed-tiling decision computed the long way: one completion, its
+    """The signed-tiling decision computed the long way: one completion
+    under the default minabs convention, as decide completes, its
     element rows lifted from unit vectors, then in each round t a full
     division, with quotients, of (xy)^(t*D) * f_region (round 0 alone when
     both variables are tame).  A zero remainder's cofactors are the forward
     sum of quotient times row."""
     gens = tile_generators(prototiles)
-    G = buchberger(gens, LEX, "nonneg")
+    G = buchberger(gens)
     d = tile_reach(prototiles)
     decisive = all(G.periods[var] is not None or all(g.max_exponent(var) == 0 for g in gens)
                    for var in range(2))
@@ -171,5 +172,5 @@ def nbone_certificate_by_full_division(m, n):
     t = triangle(m)
     res = reduce(t, basis)
     assert res.remainder.is_zero()
-    return _lifted_certificate(basis, res.quotients, nbone_prototiles(n),
-                               frozenset(t.terms), [(0, 0)] * 3)
+    return verified_certificate(nbone_prototiles(n), frozenset(t.terms),
+                                _lifted_weights(basis, res.quotients, [(0, 0)] * 3))

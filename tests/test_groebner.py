@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -13,8 +14,8 @@ from tilegb.bones import b3_poly, bone_polynomials, bone_system, nbone_prototile
 from tilegb.groebner import (GroebnerBasis, basis_from_text, basis_to_text,
                              buchberger, g_polynomial, ideal_member, reduce,
                              remainder, s_polynomial, verify_strong_gb, xgcd)
-from tilegb.polyring import (CONVENTIONS, LEX, Polynomial, diff_quotient, format_poly,
-                             parse_poly)
+from tilegb.polyring import (CONVENTIONS, LEX, Polynomial, TermOrder, diff_quotient,
+                             format_poly, mono_divides, mono_lcm, parse_poly)
 from tilegb.tiling import tile_generators
 
 
@@ -539,6 +540,56 @@ def test_verify_detects_uncovered_coefficient_gcd():
     assert report.witness is None
 
 
+def _first_failing_pair(G):
+    """(reason, pair) of the first failure of the strong-basis criterion, by
+    an explicit double loop over i < j: the coverage of every pair first,
+    then every S-polynomial divided by the set; ("", None) when none fails."""
+    lts = G.leading_terms()
+    pairs = list(itertools.combinations(range(len(lts)), 2))
+    for i, j in pairs:
+        lcm, gcd = mono_lcm(lts[i][0], lts[j][0]), math.gcd(lts[i][1], lts[j][1])
+        if not any(mono_divides(m, lcm) and gcd % c == 0 for m, c in lts):
+            return "no element covers lcm(LM)/gcd(LC)", (i, j)
+    for i, j in pairs:
+        spoly = s_polynomial(G.elements[i], G.elements[j], G.order)
+        if not reduce(spoly, G).remainder.is_zero():
+            return "S-polynomial does not reduce to zero", (i, j)
+    return "", None
+
+
+def test_verify_reports_the_first_failing_pair_at_every_position():
+    # A loop that skipped some pairs (say, one starting at i + 2) would
+    # pass or blame a later pair where the first failure sits elsewhere.
+    rng = random.Random(1)
+    sets = []
+    for _ in range(200):
+        size = rng.randint(2, 5)
+        polys = []
+        while len(polys) < size:
+            p = random_poly(rng, max_degree=2, max_terms=3, coeff_bound=3)
+            if not p.is_zero():
+                polys.append(p)
+        sets.append(polys)
+    # {x^2 + y, xy + 1} at positions i < j, and 2 everywhere else: every
+    # pair is covered and every S-polynomial with a 2 reduces to zero, so
+    # the one failing S-pair is (i, j).
+    for i, j in itertools.combinations(range(4), 2):
+        polys = [Polynomial.constant(2)] * 4
+        polys[i], polys[j] = parse_poly("x^2 + y"), parse_poly("x*y + 1")
+        sets.append(polys)
+    found = set()
+    for polys in sets:
+        G = GroebnerBasis(polys)
+        report = verify_strong_gb(G)
+        want = _first_failing_pair(G)
+        assert (report.reason, report.pair) == want, polys
+        assert report.passed == (want[1] is None)
+        found.add(want)
+    cover, spair = "no element covers lcm(LM)/gcd(LC)", "S-polynomial does not reduce to zero"
+    assert {(cover, p) for p in [(0, 2), (0, 3), (1, 2), (2, 3)]} <= found
+    assert {(spair, p) for p in itertools.combinations(range(4), 2)} <= found
+
+
 def test_verify_single_element():
     assert verify_strong_gb(GroebnerBasis([Polynomial.variable(0)])).passed
 
@@ -636,6 +687,21 @@ def test_basis_serialization_round_trip():
 def test_basis_header_other_than_lex_xy_is_refused(header):
     with pytest.raises(ValueError):
         basis_from_text(header + "\n1 + x\n")
+
+
+def test_basis_to_text_refuses_bases_other_than_lex_xy():
+    # The header says order=lex vars=x,y, so only such a basis may be written.
+    gens = tile_generators(nbone_prototiles(2))
+    with pytest.raises(ValueError):
+        basis_to_text(buchberger(gens, TermOrder((1, 0))))
+    # A saturated basis, in x, y, t as homology.basis_group completes it,
+    # prints, but has no basis file.
+    lifted = [Polynomial({(i, j, 0): c for (i, j), c in g.terms.items()}, 3) for g in gens]
+    txy_minus_1 = Polynomial({(1, 1, 1): 1, (0, 0, 0): -1}, 3)
+    saturated = buchberger(lifted + [txy_minus_1], TermOrder((2, 0, 1)))
+    assert "Polynomial('-1 + x*y*t')" in repr(saturated)
+    with pytest.raises(ValueError):
+        basis_to_text(saturated)
 
 
 def test_basis_file_without_header_keeps_first_polynomial():

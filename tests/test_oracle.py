@@ -275,7 +275,7 @@ CERTIFICATE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("tiles,m,margin,units,distinct", [
+ORACLE_SIZES = [
     # "family<k>" is pinned family k; 3 is the 3-bones.
     ("family2", 7, 1, 25, 21), ("family2", 7, 2, 25, 21),
     ("family3", 7, 1, 27, 18), ("family3", 7, 2, 27, 18),
@@ -284,7 +284,13 @@ CERTIFICATE_SHA256 = {
     ("family17", 7, 1, 41, 31), ("family17", 7, 2, 41, 31),
     ("family18", 7, 1, 53, 35), ("family18", 7, 2, 53, 35),
     (3, 8, 6, 20, 19), (3, 9, 6, 27, 24),
-])
+]
+
+
+# Each id names the inputs alone (tiles, m, margin), so a re-pin of the
+# counts does not rename the case.
+@pytest.mark.parametrize("tiles,m,margin,units,distinct", ORACLE_SIZES,
+                         ids=[f"{t}-{m}-{g}" for t, m, g, _, _ in ORACLE_SIZES])
 def test_oracle_certificate_sizes(tiles, m, margin, units, distinct):
     # The witness comes from the smallest of the boxes padded by 0, 1, 2,
     # 4, ... that solves, with its columns inserted sparsest-leading first;

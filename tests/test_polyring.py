@@ -96,8 +96,8 @@ def test_product_matches_schoolbook(nvars, base):
 
 @pytest.mark.parametrize("count", (7, 8, 9, 300))
 def test_products_on_both_sides_of_the_column_threshold(count):
-    # Term maps of 8 terms or more are decoded by columns, shorter ones term
-    # by term; operands and products here fall on both sides of that.
+    # Term maps of every size are decoded by columns; operands and products
+    # here run from 1 to 300 terms.
     rng = random.Random(8000 + count)
     for nvars in (1, 2, 3):
         for other in (1, 2, 7, 8, 9, min(count, 40)):
@@ -183,8 +183,8 @@ def test_y_before_x_precedence():
 @pytest.mark.parametrize("precedence", [(0, 1), (1, 0), (2, 0, 1)])
 @pytest.mark.parametrize("bits", [1, 3, 7, 70])
 def test_slots_round_trip_and_order(precedence, bits):
-    # Maps of 0..7 terms decode term by term, those of 8 or more column by
-    # column; both must give back the map in its order.  Comparing packed
+    # Maps of 0..9 and 40 terms decode column by column and must give back
+    # the map in its order.  Comparing packed
     # monomials is comparing their keys under the precedence, and u - v is
     # non-negative with no guard bit set exactly when v divides u.
     rng = random.Random(bits * 10 + len(precedence))
@@ -302,6 +302,14 @@ def test_format_examples():
     assert format_poly(parse_poly("-1 - x - y")) == "-1 - x - y"
     assert format_poly(Polynomial.zero()) == "0"
     assert format_poly(Polynomial({(1, 0): -3, (0, 0): 2})) == "2 - 3*x"
+
+
+def test_format_names_the_third_variable_t():
+    # txy - 1 is in every basis of I + (txy - 1) that homology completes.
+    txy_minus_1 = Polynomial({(1, 1, 1): 1, (0, 0, 0): -1}, 3)
+    assert str(txy_minus_1) == "-1 + x*y*t"
+    assert repr(txy_minus_1) == "Polynomial('-1 + x*y*t')"
+    assert format_poly(Polynomial({(0, 2, 3): 2, (1, 0, 0): -1}, 3)) == "-x + 2*y^2*t^3"
 
 
 @pytest.mark.parametrize("bad,pos", [

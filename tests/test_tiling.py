@@ -176,13 +176,19 @@ def test_weighted_certificates_verify_and_reject_tampering():
                                                       cert.region))
 
 
+DECIDE_SIZES = [
+    (3, 18, 143, 80), (4, 16, 70, 54),
+    ("family2", 7, 217, 41), ("family3", 7, 3_207, 169),
+    ("family4", 7, 19_205, 417), ("family14", 7, 278_249, 315)]
+
+
 # The four YES cases of the pinned families (perfbench/pinned.json) at T(7)
 # pin the completion log: a change in how completion makes an element
-# changes the lifted cofactors and so these sizes.
-@pytest.mark.parametrize("tiles, m, units, distinct", [
-    (3, 18, 291_309, 137), (4, 16, 2_122_458, 96),
-    ("family2", 7, 217, 41), ("family3", 7, 3_207, 169),
-    ("family4", 7, 40_773, 370), ("family14", 7, 620_925, 237)])
+# changes the lifted cofactors and so these sizes.  Each id names the
+# inputs alone (tiles, m), so a re-pin of the counts does not rename the
+# case.
+@pytest.mark.parametrize("tiles, m, units, distinct", DECIDE_SIZES,
+                         ids=[f"{t}-{m}" for t, m, _, _ in DECIDE_SIZES])
 def test_decide_certificate_sizes(tiles, m, units, distinct):
     # ``tiles`` is n for the n-bones, or "family<k>" for pinned family k.
     if isinstance(tiles, int):
